@@ -1,12 +1,42 @@
-"""Blocking subprocess helper shared by the external-command wrappers."""
+"""Blocking subprocess and JSON Lines helpers shared by the external-command
+wrappers and the file loaders."""
 
 from __future__ import annotations
 
+import json
 import shlex
 import subprocess
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .errors import DivsatError, SpawnError
+from .errors import DivsatError, IoError, SpawnError
+
+
+def read_lines(path) -> list[str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except OSError as exc:
+        raise IoError(str(exc)) from None
+
+
+def json_objects(
+    lines: Sequence[str], failure: type[DivsatError], where: str = "line", start: int = 0
+) -> Iterator[tuple[int, dict]]:
+    """Yield (index, object) for each non-blank line, which must hold a JSON object.
+
+    Lines are indexed from ``start``; errors raise ``failure`` citing
+    ``{where} N`` with N the 1-based line number.
+    """
+    for i, line in enumerate(lines, start):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            raise failure(f"{where} {i + 1}: not valid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise failure(f"{where} {i + 1}: not a JSON object")
+        yield i, obj
 
 
 def as_argv(command: Sequence[str] | str) -> list[str]:

@@ -18,10 +18,9 @@ import numpy as np
 from scipy.special import betainc
 
 from .diversity import DiversityScore, diversity_report
-from .embedset import EmbeddingSet
+from .embedset import EmbeddingSet, _same_dimension
 from .errors import (
     DegenerateSeries,
-    DimensionMismatch,
     InsufficientSamples,
     LengthMismatch,
     NonFiniteValue,
@@ -164,10 +163,7 @@ def aggregate_r(rs, method: str = "raw") -> float:
 
 def diversity_impact(before: EmbeddingSet, after: EmbeddingSet) -> DiversityImpactReport:
     """Diversity of both sets and the signed change a filter caused."""
-    if before.dimension != after.dimension:
-        raise DimensionMismatch(
-            f"sets have dimensions {before.dimension} and {after.dimension}"
-        )
+    _same_dimension(before, after)
     b = diversity_report(before)
     a = diversity_report(after)
     return DiversityImpactReport(

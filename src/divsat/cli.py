@@ -44,9 +44,11 @@ from .filtergate import (
     run_filter,
     write_verdicts,
 )
+from ._proc import json_objects
 from .mmd import KernelConfig, MmdEstimate, mmd_calculator
 from .saturation import (
     SaturationConfig,
+    _write_steps,
     external_embedder,
     external_provider,
     run_saturation,
@@ -295,6 +297,10 @@ def cmd_mmd(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
 
 
 def cmd_saturate(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+    if args.init_count is not None and args.init_count < 1:
+        raise UsageError("--init-count must be >= 1")
+    if args.baseline < 1:
+        raise UsageError("--baseline must be >= 1")
     sat_cfg = SaturationConfig(
         perc=args.perc,
         early_stop=args.early_stop,
@@ -310,19 +316,24 @@ def cmd_saturate(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
         initial: EmbeddingSet | int = load_set(args.init)
         initial_size = initial.size
     else:
-        if args.init_count < 1:
-            raise UsageError("--init-count must be >= 1")
         initial = args.init_count
         initial_size = args.init_count
     context = {"activity": args.activity} if args.activity else None
-    final, trace = run_saturation(
-        initial, provider, embedder, sat_cfg, context=context
-    )
+    try:
+        final, trace = run_saturation(
+            initial, provider, embedder, sat_cfg, context=context
+        )
+    except DivsatError as exc:
+        # a failing provider or embedder keeps the iterations completed so far
+        partial = getattr(exc, "partial_set", None)
+        if partial is not None:
+            write_set(partial, args.out)
+            if args.trace:
+                _write_steps(exc.trace_steps, args.trace)
+        raise
     write_set(final, args.out)
     if args.trace:
         write_trace(trace, args.trace)
-    if args.baseline < 1:
-        raise UsageError("--baseline must be >= 1")
     savings = 100.0 * (1.0 - final.size / args.baseline)
     return {
         "reason": trace.reason.value,
@@ -397,14 +408,8 @@ def cmd_synth_provider(args: argparse.Namespace, cfg: GlobalConfig) -> RawOutput
     if drift is not None:
         offset = np.asarray(drift) * float(calls_before)
     out_lines = []
-    for i, line in enumerate(sys.stdin.read().splitlines()):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError:
-            raise MalformedLine(f"stdin line {i + 1}: not valid JSON") from None
-        if not isinstance(obj, dict) or "text" not in obj:
+    for i, obj in json_objects(sys.stdin.read().splitlines(), MalformedLine, "stdin line"):
+        if "text" not in obj:
             raise MalformedLine(f"stdin line {i + 1}: expected an object with \"text\"")
         vec = token_vector(str(obj["text"]), spec, offset=offset)
         record_id = obj.get("id", i)

@@ -1,9 +1,11 @@
 """Embedding-set data model and JSON Lines interchange.
 
-A set is an ordered collection of records, every vector float64 with the
-same dimension, ids unique within the set. Sets are never empty; asking a
-diversity metric about an empty collection is a caller bug, so emptiness is
-rejected at construction time rather than coerced to zero scores downstream.
+A set is an ordered collection of embeddings, every vector float64 with the
+same dimension, ids unique within the set. It is stored as columns: an ids
+tuple, one read-only (n, k) matrix, and label and meta tuples holding None
+where a row has none. Sets are never empty; asking a diversity metric about
+an empty collection is a caller bug, so emptiness is rejected at
+construction time rather than coerced to zero scores downstream.
 
 File format: one JSON object per line,
 ``{"id": str?, "vector": [num, ...], "label": str?, "meta": {str: str}?}``.
@@ -15,9 +17,8 @@ write/load cycle reproduces vectors bit for bit.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .errors import (
     NonFiniteValue,
     UnknownId,
 )
+from ._proc import json_objects, read_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,26 +46,14 @@ class EmbeddingRecord:
     meta: Mapping[str, str] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise MalformedLine("record id must be a non-empty string")
-        if self.label is not None and not isinstance(self.label, str):
-            raise MalformedLine("label must be a string when present")
-        vec = np.asarray(self.vector, dtype=np.float64)
-        if vec.ndim != 1:
-            raise MalformedLine("vector must be one-dimensional")
-        if vec.size == 0:
-            raise EmptyVector(f"record {self.id!r} has an empty vector")
-        if not np.all(np.isfinite(vec)):
-            raise NonFiniteValue(f"vector for record {self.id!r} contains NaN or infinity")
-        vec = np.array(vec)  # private copy, then frozen
-        vec.flags.writeable = False
-        object.__setattr__(self, "vector", vec)
-        if self.meta is not None:
-            if not isinstance(self.meta, Mapping) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in self.meta.items()
-            ):
-                raise MalformedLine("meta must map strings to strings")
-            object.__setattr__(self, "meta", dict(self.meta))
+        # A one-row set runs the same validation as every set and holds a
+        # private read-only copy of the vector (a 1-D input gives one row).
+        row = EmbeddingSet._from_columns(
+            [self.id], np.array(self.vector, dtype=np.float64)[None], [self.label],
+            [self.meta], row_name=lambda pos: f"record {self.id!r}",
+        )
+        object.__setattr__(self, "vector", row.vectors[0])
+        object.__setattr__(self, "meta", row._metas[0])
 
     @property
     def dimension(self) -> int:
@@ -72,38 +62,69 @@ class EmbeddingRecord:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EmbeddingRecord):
             return NotImplemented
-        return (
-            self.id == other.id
-            and self.label == other.label
-            and self.meta == other.meta
-            and self.vector.shape == other.vector.shape
-            and bool(np.all(self.vector == other.vector))
-        )
+        same = (self.id, self.label, self.meta) == (other.id, other.label, other.meta)
+        return same and np.array_equal(self.vector, other.vector)
 
 
 class EmbeddingSet:
-    """Ordered, fixed-dimension, non-empty collection of embedding records."""
+    """Ordered, fixed-dimension, non-empty collection of embeddings, held as
+    columns; ``records``, iteration and ``set[id]`` build copies on demand."""
 
-    __slots__ = ("records", "dimension", "_index", "_matrix")
+    __slots__ = ("_ids", "_vectors", "_labels", "_metas", "_index")
 
     def __init__(self, records: Iterable[EmbeddingRecord]):
         recs = tuple(records)
-        if not recs:
+        try:
+            vectors = np.array([rec.vector for rec in recs], dtype=np.float64)
+        except ValueError:
+            raise DimensionMismatch("records have different dimensions") from None
+        self._assign([rec.id for rec in recs], vectors,
+                     [rec.label for rec in recs], [rec.meta for rec in recs])
+
+    @classmethod
+    def _from_columns(cls, ids, vectors, labels=None, metas=None, row_name=None):
+        """A new set owning ``vectors``; ``row_name(pos)`` names rows in errors."""
+        obj = cls.__new__(cls)
+        obj._assign(ids, vectors, labels, metas, row_name)
+        return obj
+
+    def _assign(self, ids, vectors, labels=None, metas=None, row_name=None) -> None:
+        # The one validating pass behind every way of building a set.
+        name = row_name or "row {}".format
+        ids = tuple(ids)
+        if not ids:
             raise EmptySet("an embedding set must contain at least one record")
-        dim = recs[0].dimension
+        mat = np.asarray(vectors, dtype=np.float64)
+        if mat.ndim != 2:
+            raise MalformedLine("expected a two-dimensional (n, k) array")
+        n = len(ids)
+        labels = (None,) * n if labels is None else tuple(labels)
+        metas = (None,) * n if metas is None else tuple(metas)
+        if not len(mat) == len(labels) == len(metas) == n:
+            raise MalformedLine(f"got {len(mat)} rows but {n} ids and {len(labels)} labels")
+        if mat.shape[1] == 0:
+            raise EmptyVector("vectors have no entries")
+        finite = np.isfinite(mat).all(axis=1)
+        if not finite.all():
+            raise NonFiniteValue(f"{name(int(np.argmin(finite)))}: vector is not finite")
         index: dict[str, int] = {}
-        for pos, rec in enumerate(recs):
-            if rec.dimension != dim:
-                raise DimensionMismatch(
-                    f"record {rec.id!r} has dimension {rec.dimension}, expected {dim}"
-                )
-            if rec.id in index:
-                raise DuplicateId(f"duplicate record id {rec.id!r}")
-            index[rec.id] = pos
-        self.records = recs
-        self.dimension = dim
-        self._index = index
-        self._matrix: np.ndarray | None = None
+        for pos, (record_id, label, meta) in enumerate(zip(ids, labels, metas)):
+            if not isinstance(record_id, str) or not record_id:
+                raise MalformedLine(f"{name(pos)}: record id must be a non-empty string")
+            if record_id in index:
+                raise DuplicateId(f"{name(pos)}: duplicate record id {record_id!r}, "
+                                  f"first at {name(index[record_id])}")
+            if label is not None and not isinstance(label, str):
+                raise MalformedLine(f"{name(pos)}: label must be a string when present")
+            if meta is not None and not (
+                isinstance(meta, Mapping)
+                and all(isinstance(k, str) and isinstance(v, str) for k, v in meta.items())
+            ):
+                raise MalformedLine(f"{name(pos)}: meta must map strings to strings")
+            index[record_id] = pos
+        mat.flags.writeable = False
+        self._ids, self._vectors, self._labels, self._index = ids, mat, labels, index
+        self._metas = tuple(None if meta is None else dict(meta) for meta in metas)
 
     @classmethod
     def from_array(
@@ -114,65 +135,77 @@ class EmbeddingSet:
         id_prefix: str = "",
     ) -> "EmbeddingSet":
         """Build a set from an (n, k) array; default ids are the prefixed row indices."""
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise MalformedLine("expected a two-dimensional (n, k) array")
-        n = arr.shape[0]
-        if ids is None:
-            ids = [f"{id_prefix}{i}" for i in range(n)]
-        if labels is None:
-            labels = [None] * n
-        if len(ids) != n or len(labels) != n:
-            raise MalformedLine(
-                f"got {n} rows but {len(ids)} ids and {len(labels)} labels"
-            )
-        return cls(
-            EmbeddingRecord(id=i, vector=row, label=lab)
-            for i, row, lab in zip(ids, arr, labels)
-        )
+        mat = np.array(values, dtype=np.float64)  # private copy
+        if ids is None:  # a 0-d input gets one id so the 2-D check reports it
+            ids = [f"{id_prefix}{i}" for i in range(len(mat) if mat.ndim else 1)]
+        return cls._from_columns(ids, mat, labels)
 
     @property
     def size(self) -> int:
-        return len(self.records)
+        return len(self._ids)
+
+    @property
+    def dimension(self) -> int:
+        return self._vectors.shape[1]
 
     @property
     def vectors(self) -> np.ndarray:
-        """All vectors stacked into a cached read-only (n, k) matrix."""
-        if self._matrix is None:
-            mat = np.stack([rec.vector for rec in self.records])
-            mat.flags.writeable = False
-            self._matrix = mat
-        return self._matrix
+        """All vectors as one read-only (n, k) matrix."""
+        return self._vectors
+
+    @property
+    def records(self) -> tuple[EmbeddingRecord, ...]:
+        return tuple(self)
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(rec.id for rec in self.records)
+        return self._ids
+
+    def _record(self, pos: int) -> EmbeddingRecord:
+        return EmbeddingRecord(self._ids[pos], self._vectors[pos],
+                               self._labels[pos], self._metas[pos])
 
     def __contains__(self, record_id: str) -> bool:
         return record_id in self._index
 
     def __getitem__(self, record_id: str) -> EmbeddingRecord:
-        try:
-            return self.records[self._index[record_id]]
-        except KeyError:
-            raise UnknownId(f"no record with id {record_id!r}") from None
+        if record_id not in self._index:
+            raise UnknownId(f"no record with id {record_id!r}")
+        return self._record(self._index[record_id])
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[EmbeddingRecord]:
-        return iter(self.records)
+        return map(self._record, range(len(self._ids)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EmbeddingSet):
             return NotImplemented
-        return self.records == other.records
+        return (self._ids, self._labels, self._metas) == (
+            other._ids, other._labels, other._metas
+        ) and np.array_equal(self._vectors, other._vectors)
 
     def __repr__(self) -> str:
         return f"EmbeddingSet(n={self.size}, k={self.dimension})"
 
 
-def _reject_constant(token: str):
-    raise NonFiniteValue(f"non-finite JSON literal {token}")
+def _same_dimension(a: EmbeddingSet, b: EmbeddingSet) -> None:
+    if a.dimension != b.dimension:
+        raise DimensionMismatch(f"sets have dimensions {a.dimension} and {b.dimension}")
+
+
+def _merge(first: EmbeddingSet, second: EmbeddingSet, id_prefix: str = "") -> EmbeddingSet:
+    """``first`` followed by ``second``, whose ids get ``id_prefix`` prepended."""
+    _same_dimension(first, second)
+    return EmbeddingSet._from_columns(
+        first._ids + tuple(id_prefix + record_id for record_id in second._ids),
+        np.vstack((first._vectors, second._vectors)),
+        first._labels + second._labels,
+        first._metas + second._metas,
+    )
+
+
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def parse_record(line: str, line_index: int = 0) -> EmbeddingRecord:
@@ -190,39 +223,50 @@ def parse_record(line: str, line_index: int = 0) -> EmbeddingRecord:
             such as ``NaN`` and numbers that overflow to infinity.
         EmptyVector: a vector with zero entries.
     """
-    try:
-        obj = json.loads(line, parse_constant=_reject_constant)
-    except NonFiniteValue:
-        raise
-    except ValueError as exc:
-        raise MalformedLine(f"not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise MalformedLine("line is not a JSON object")
-    if "vector" not in obj:
-        raise MalformedLine("record has no \"vector\" field")
-    raw = obj["vector"]
-    if not isinstance(raw, list):
-        raise MalformedLine("\"vector\" must be a JSON array")
-    if not raw:
-        raise EmptyVector("\"vector\" is empty")
-    for entry in raw:
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise MalformedLine("vector entries must be numbers")
-        if not math.isfinite(entry):
-            raise NonFiniteValue("vector entries must be finite")
-    record_id = obj.get("id")
-    if record_id is None:
-        record_id = str(line_index)
-    elif not isinstance(record_id, str) or not record_id:
-        raise MalformedLine("\"id\" must be a non-empty string")
-    label = obj.get("label")
-    if label is not None and not isinstance(label, str):
-        raise MalformedLine("\"label\" must be a string")
-    meta = obj.get("meta")
-    if meta is not None and not isinstance(meta, dict):
-        raise MalformedLine("\"meta\" must be a JSON object")
-    return EmbeddingRecord(id=record_id, vector=np.array(raw, dtype=np.float64),
-                           label=label, meta=meta)
+    if not line.strip():
+        raise MalformedLine(f"line {line_index + 1}: blank line")
+    return _parse_lines([line], "record", start=line_index)._record(0)
+
+
+def _parse_lines(
+    lines: Sequence[str], source: str, where: str = "line", start: int = 0
+) -> EmbeddingSet:
+    # Rows go straight into one preallocated matrix; the set constructor then
+    # validates the columns. Errors cite ``{where} N`` as json_objects does,
+    # and an input with no records names ``source``.
+    rows: list[tuple] = []  # (id, label, meta, line number)
+    mat: np.ndarray | None = None
+    for i, obj in json_objects(lines, MalformedLine, where, start):
+        raw = obj.get("vector")
+        try:
+            if not isinstance(raw, list):
+                raise MalformedLine("\"vector\" must be a JSON array")
+            if not raw:
+                raise EmptyVector("\"vector\" is empty")
+            # JSON numbers decode to exactly int or float; bool, None and str do not
+            if not _NUMBER_TYPES.issuperset(map(type, raw)):
+                raise MalformedLine("vector entries must be numbers")
+            if mat is None:
+                mat = np.empty((len(lines), len(raw)))
+            elif len(raw) != mat.shape[1]:
+                raise DimensionMismatch(
+                    f"vector has dimension {len(raw)}, expected {mat.shape[1]}"
+                )
+            mat[len(rows)] = raw
+        except OverflowError:
+            raise NonFiniteValue(f"{where} {i + 1}: vector entry overflows to infinity") from None
+        except DivsatError as exc:
+            raise type(exc)(f"{where} {i + 1}: {exc}") from None
+        record_id = obj.get("id")
+        record_id = str(i) if record_id is None else record_id
+        rows.append((record_id, obj.get("label"), obj.get("meta"), i + 1))
+    if mat is None:
+        raise EmptySet(f"{source}: no records")
+    ids, labels, metas, numbers = zip(*rows)
+    return EmbeddingSet._from_columns(
+        ids, mat if len(rows) == len(mat) else mat[:len(rows)].copy(), labels, metas,
+        row_name=lambda pos: f"{where} {numbers[pos]}",
+    )
 
 
 def load_set(path) -> EmbeddingSet:
@@ -231,53 +275,29 @@ def load_set(path) -> EmbeddingSet:
     Whitespace-only lines are ignored but still count toward the line index
     used for defaulted ids. Error messages cite 1-based line numbers.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(str(exc)) from None
-    records: list[EmbeddingRecord] = []
-    first_line: dict[str, int] = {}
-    dim: int | None = None
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            rec = parse_record(line, line_index=i)
-        except DivsatError as exc:
-            raise type(exc)(f"line {i + 1}: {exc}") from None
-        if dim is None:
-            dim = rec.dimension
-        elif rec.dimension != dim:
-            raise DimensionMismatch(
-                f"line {i + 1}: vector has dimension {rec.dimension}, expected {dim}"
-            )
-        if rec.id in first_line:
-            raise DuplicateId(
-                f"line {i + 1}: id {rec.id!r} already used on line {first_line[rec.id] + 1}"
-            )
-        first_line[rec.id] = i
-        records.append(rec)
-    if not records:
-        raise EmptySet(f"{path}: no records")
-    return EmbeddingSet(records)
+    return _parse_lines(read_lines(path), source=str(path))
+
+
+def _row_json(record_id: str, vector: list, label, meta) -> str:
+    obj: dict = {"id": record_id, "vector": vector}
+    if label is not None:
+        obj["label"] = label
+    if meta is not None:
+        obj["meta"] = dict(meta)
+    return json.dumps(obj, ensure_ascii=False, allow_nan=False)
 
 
 def record_to_json(rec: EmbeddingRecord) -> str:
-    obj: dict = {"id": rec.id, "vector": [float(v) for v in rec.vector]}
-    if rec.label is not None:
-        obj["label"] = rec.label
-    if rec.meta is not None:
-        obj["meta"] = dict(rec.meta)
-    return json.dumps(obj, ensure_ascii=False, allow_nan=False)
+    return _row_json(rec.id, rec.vector.tolist(), rec.label, rec.meta)
 
 
 def write_set(embeddings: EmbeddingSet, path) -> None:
     """Write a set as JSON Lines; a later load_set reproduces it exactly."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for rec in embeddings.records:
-                fh.write(record_to_json(rec))
+            for pos, row in enumerate(embeddings.vectors):
+                fh.write(_row_json(embeddings._ids[pos], row.tolist(),
+                                   embeddings._labels[pos], embeddings._metas[pos]))
                 fh.write("\n")
     except OSError as exc:
         raise IoError(str(exc)) from None
@@ -286,7 +306,12 @@ def write_set(embeddings: EmbeddingSet, path) -> None:
 def subset(embeddings: EmbeddingSet, ids: Iterable[str]) -> EmbeddingSet:
     """Records whose ids are in ``ids``, kept in their original relative order."""
     wanted = set(ids)
-    missing = [i for i in wanted if i not in embeddings]
+    missing = wanted.difference(embeddings._index)
     if missing:
         raise UnknownId(f"no record with id {sorted(missing)[0]!r}")
-    return EmbeddingSet(rec for rec in embeddings.records if rec.id in wanted)
+    rows = sorted(embeddings._index[i] for i in wanted)
+    kept_ids, labels, metas = (
+        [column[r] for r in rows]
+        for column in (embeddings._ids, embeddings._labels, embeddings._metas)
+    )
+    return EmbeddingSet._from_columns(kept_ids, embeddings.vectors[rows], labels, metas)

@@ -29,7 +29,7 @@ from .errors import (
     UnknownVerdictId,
     UnparseableLine,
 )
-from ._proc import as_argv, run_command
+from ._proc import as_argv, json_objects, read_lines, run_command
 
 PROMPT_BATCH_SIZE = 10
 
@@ -300,31 +300,11 @@ def run_filter(
     return verdicts
 
 
-def _jsonl_objects(path) -> list[tuple[int, dict]]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(str(exc)) from None
-    out: list[tuple[int, dict]] = []
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError:
-            raise MalformedLine(f"line {i + 1}: not valid JSON") from None
-        if not isinstance(obj, dict):
-            raise MalformedLine(f"line {i + 1}: not a JSON object")
-        out.append((i, obj))
-    return out
-
-
 def load_captions(path) -> list[CaptionItem]:
     """Read caption JSONL: {"id": ..., "caption": ..., "activity": ...} per line."""
     items: list[CaptionItem] = []
     seen: set[str] = set()
-    for i, obj in _jsonl_objects(path):
+    for i, obj in json_objects(read_lines(path), MalformedLine):
         for key in ("id", "caption", "activity"):
             if not isinstance(obj.get(key), str) or not obj[key]:
                 raise MalformedLine(f"line {i + 1}: {key!r} must be a non-empty string")
@@ -340,7 +320,7 @@ def load_captions(path) -> list[CaptionItem]:
 def load_verdicts(path) -> list[FilterVerdict]:
     """Read verdict JSONL: {"id": ..., "keep": true|false} per line."""
     verdicts: list[FilterVerdict] = []
-    for i, obj in _jsonl_objects(path):
+    for i, obj in json_objects(read_lines(path), MalformedLine):
         if not isinstance(obj.get("id"), str) or not obj["id"]:
             raise MalformedLine(f"line {i + 1}: 'id' must be a non-empty string")
         if not isinstance(obj.get("keep"), bool):
@@ -363,7 +343,7 @@ def write_verdicts(verdicts: Sequence[FilterVerdict], path) -> None:
 def load_truth(path) -> dict[str, bool]:
     """Read ground-truth JSONL: {"id": ..., "relevant": true|false} per line."""
     truth: dict[str, bool] = {}
-    for i, obj in _jsonl_objects(path):
+    for i, obj in json_objects(read_lines(path), MalformedLine):
         if not isinstance(obj.get("id"), str) or not obj["id"]:
             raise MalformedLine(f"line {i + 1}: 'id' must be a non-empty string")
         if not isinstance(obj.get("relevant"), bool):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .embedset import EmbeddingSet
+from .embedset import EmbeddingSet, _same_dimension
 from .errors import DimensionMismatch, InvalidRepetitions, SizeMismatch
 from .rng import make_rng
 
@@ -73,10 +73,7 @@ def median_heuristic(x_set: EmbeddingSet, y_set: EmbeddingSet) -> float:
     Zero-distance pairs are excluded; if every pairwise distance is zero the
     heuristic has nothing to measure and falls back to 1.0.
     """
-    if x_set.dimension != y_set.dimension:
-        raise DimensionMismatch(
-            f"sets have dimensions {x_set.dimension} and {y_set.dimension}"
-        )
+    _same_dimension(x_set, y_set)
     pooled = np.vstack([x_set.vectors, y_set.vectors])
     distances = pdist(pooled)
     positive = distances[distances > 0]
@@ -136,10 +133,7 @@ def mmd(
         SizeMismatch: the sets differ in size (use :func:`mmd_calculator`).
         DimensionMismatch: the sets differ in dimension.
     """
-    if x_set.dimension != y_set.dimension:
-        raise DimensionMismatch(
-            f"sets have dimensions {x_set.dimension} and {y_set.dimension}"
-        )
+    _same_dimension(x_set, y_set)
     if x_set.size != y_set.size:
         raise SizeMismatch(
             f"sets have sizes {x_set.size} and {y_set.size}; "
@@ -178,10 +172,7 @@ def mmd_calculator(
     """
     if repetitions < 1:
         raise InvalidRepetitions(f"repetitions must be >= 1, got {repetitions}")
-    if a_set.dimension != b_set.dimension:
-        raise DimensionMismatch(
-            f"sets have dimensions {a_set.dimension} and {b_set.dimension}"
-        )
+    _same_dimension(a_set, b_set)
     bandwidth = resolve_bandwidth(cfg, a_set, b_set)
     sizes = (a_set.size, b_set.size)
     fixed = KernelConfig(bandwidth=bandwidth)

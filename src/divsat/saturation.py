@@ -16,19 +16,21 @@ import enum
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Protocol, Sequence, Union
 
-from .embedset import EmbeddingRecord, EmbeddingSet, parse_record
+from .embedset import EmbeddingSet, _merge, _parse_lines
 from .errors import (
     DimensionMismatch,
     DivsatError,
+    DuplicateId,
     EmbedderError,
+    IoError,
     ProtocolError,
     ProviderError,
 )
 from .mmd import KernelConfig, MmdEstimate, mmd_calculator
-from ._proc import as_argv, run_command
+from ._proc import as_argv, json_objects, run_command
 from .rng import as_uint64
 
 log = logging.getLogger(__name__)
@@ -112,16 +114,7 @@ class TraceStep:
     range_max: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "batch_size": self.batch_size,
-            "mmd_mean": self.mmd_mean,
-            "mmd_stddev": self.mmd_stddev,
-            "in_window": self.in_window,
-            "stop_condition": self.stop_condition,
-            "range_min": self.range_min,
-            "range_max": self.range_max,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -147,10 +140,13 @@ def saturation_step(
     streak to zero and recenters the window there. The batch joins the
     accumulated set in both cases.
     """
-    if batch.dimension != state.embeddings.dimension:
-        raise DimensionMismatch(
-            f"batch dimension {batch.dimension} != set dimension {state.embeddings.dimension}"
-        )
+    return _advance(state, estimate, _merge(state.embeddings, batch))
+
+
+def _advance(
+    state: SaturationState, estimate: MmdEstimate, merged: EmbeddingSet
+) -> SaturationState:
+    # The window transition; ``merged`` is the state's set with the batch appended.
     score = estimate.mean
     spread = estimate.stddev
     if state.range_min < score < state.range_max:
@@ -161,7 +157,6 @@ def saturation_step(
         stop = 0
         range_min = score - spread
         range_max = score + spread
-    merged = EmbeddingSet(state.embeddings.records + batch.records)
     return SaturationState(
         embeddings=merged,
         stop_condition=stop,
@@ -183,19 +178,24 @@ def _default_mmd(
     )
 
 
-def _namespace_batch(batch: EmbeddingSet, iteration: int) -> EmbeddingSet:
-    # Batch ids are prefixed with the iteration so accumulation can never
-    # collide with earlier batches or the initial set.
-    return EmbeddingSet(
-        replace(rec, id=f"b{iteration}_{rec.id}") for rec in batch.records
-    )
-
-
-def _fail(exc: DivsatError, steps: list[TraceStep], partial: EmbeddingSet):
+def _fail(exc: DivsatError, steps: list[TraceStep], partial: EmbeddingSet | None):
     # Propagated provider/embedder failures keep the work done so far.
     exc.trace_steps = tuple(steps)
     exc.partial_set = partial
     raise exc
+
+
+def _guarded(call: Callable, failure: type[DivsatError], message: str,
+             steps: list[TraceStep], partial: EmbeddingSet | None):
+    # One provider or embedder call; other exceptions become ``failure``.
+    try:
+        return call()
+    except DivsatError as exc:
+        _fail(exc, steps, partial)
+    except Exception as exc:
+        wrapped = failure(f"{message}: {exc}")
+        wrapped.__cause__ = exc
+        _fail(wrapped, steps, partial)
 
 
 def run_saturation(
@@ -236,12 +236,8 @@ def run_saturation(
     if isinstance(initial, int):
         if initial < 1:
             raise ValueError("bootstrap size must be >= 1")
-        try:
-            texts = list(provider.next_batch(initial, context))
-        except DivsatError as exc:
-            _fail(exc, steps, None)  # type: ignore[arg-type]
-        except Exception as exc:
-            raise ProviderError(f"provider failed during bootstrap: {exc}") from exc
+        texts = _guarded(lambda: list(provider.next_batch(initial, context)), ProviderError,
+                         "provider failed during bootstrap", steps, None)
         if not texts:
             raise ProviderError("provider produced no items during bootstrap")
         current = _embed(embedder, texts, steps, partial=None)
@@ -258,25 +254,20 @@ def run_saturation(
         iteration = state.iteration + 1
         base = initial_size if cfg.fixed_batch else state.embeddings.size
         count = max(1, math.ceil(cfg.perc * base))
-        try:
-            texts = list(provider.next_batch(count, context))
-        except DivsatError as exc:
-            _fail(exc, steps, state.embeddings)
-        except Exception as exc:
-            wrapped = ProviderError(f"provider failed at iteration {iteration}: {exc}")
-            wrapped.__cause__ = exc
-            _fail(wrapped, steps, state.embeddings)
+        texts = _guarded(lambda: list(provider.next_batch(count, context)), ProviderError,
+                         f"provider failed at iteration {iteration}", steps, state.embeddings)
         if len(texts) == 0:
             reason = StopReason.PROVIDER_EXHAUSTED
             break
         exhausted = len(texts) < count
         batch = _embed(embedder, texts, steps, partial=state.embeddings)
-        batch = _namespace_batch(batch, iteration)
-        combined = EmbeddingSet(state.embeddings.records + batch.records)
+        # Batch ids are prefixed with the iteration so accumulation can never
+        # collide with earlier batches or the initial set.
+        combined = _merge(state.embeddings, batch, id_prefix=f"b{iteration}_")
         seed_i = as_uint64(cfg.seed ^ iteration)
         estimate = estimator(state.embeddings, combined, cfg, seed_i)
         previous_streak = state.stop_condition
-        state = saturation_step(state, estimate, cfg, batch)
+        state = _advance(state, estimate, combined)
         step = TraceStep(
             iteration=iteration,
             batch_size=batch.size,
@@ -307,29 +298,25 @@ def _embed(
     steps: list[TraceStep],
     partial: EmbeddingSet | None,
 ) -> EmbeddingSet:
-    try:
-        batch = embedder.embed(texts)
-    except DivsatError as exc:
-        _fail(exc, steps, partial)  # type: ignore[arg-type]
-    except Exception as exc:
-        wrapped = EmbedderError(f"embedder failed: {exc}")
-        wrapped.__cause__ = exc
-        _fail(wrapped, steps, partial)  # type: ignore[arg-type]
+    batch = _guarded(lambda: embedder.embed(texts), EmbedderError, "embedder failed",
+                     steps, partial)
     if batch.size != len(texts):
         wrapped = EmbedderError(
             f"embedder returned {batch.size} records for {len(texts)} items"
         )
-        _fail(wrapped, steps, partial)  # type: ignore[arg-type]
+        _fail(wrapped, steps, partial)
     return batch
 
 
 def write_trace(trace: SaturationTrace, path) -> None:
     """One JSON object per iteration, keys sorted, mirroring TraceStep."""
-    from .errors import IoError
+    _write_steps(trace.steps, path)
 
+
+def _write_steps(steps: Sequence[TraceStep], path) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for step in trace.steps:
+            for step in steps:
                 fh.write(json.dumps(step.to_json_dict(), sort_keys=True))
                 fh.write("\n")
     except OSError as exc:
@@ -349,17 +336,9 @@ class _ExternalProvider:
             argv += ["--activity", context["activity"]]
         proc = run_command(argv, timeout=self._timeout, failure=ProviderError)
         texts: list[str] = []
-        for i, line in enumerate(proc.stdout.splitlines()):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError:
-                raise ProtocolError(f"provider line {i + 1} is not JSON") from None
-            if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
-                raise ProtocolError(
-                    f"provider line {i + 1} must be an object with a string \"text\""
-                )
+        for i, obj in json_objects(proc.stdout.splitlines(), ProtocolError, "provider line"):
+            if not isinstance(obj.get("text"), str):
+                raise ProtocolError(f"provider line {i + 1}: \"text\" must be a string")
             texts.append(obj["text"])
         if len(texts) > count:
             raise ProtocolError(
@@ -381,27 +360,18 @@ class _ExternalEmbedder:
             self._argv, input_text=payload + "\n",
             timeout=self._timeout, failure=EmbedderError,
         )
-        records: list[EmbeddingRecord] = []
-        dim: int | None = None
-        for i, line in enumerate(proc.stdout.splitlines()):
-            if not line.strip():
-                continue
-            try:
-                rec = parse_record(line, line_index=i)
-            except DivsatError as exc:
-                raise ProtocolError(f"embedder line {i + 1}: {exc}") from None
-            if dim is None:
-                dim = rec.dimension
-            elif rec.dimension != dim:
-                raise DimensionMismatch(
-                    f"embedder line {i + 1}: dimension {rec.dimension}, expected {dim}"
-                )
-            records.append(rec)
-        if len(records) != len(items):
+        try:
+            batch = _parse_lines(proc.stdout.splitlines(), source="embedder output",
+                                 where="embedder line")
+        except (DimensionMismatch, DuplicateId):
+            raise
+        except DivsatError as exc:
+            raise ProtocolError(str(exc)) from None
+        if batch.size != len(items):
             raise ProtocolError(
-                f"embedder returned {len(records)} records for {len(items)} items"
+                f"embedder returned {batch.size} records for {len(items)} items"
             )
-        return EmbeddingSet(records)
+        return batch
 
 
 def external_provider(

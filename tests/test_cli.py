@@ -146,6 +146,16 @@ class TestDiversityCommand:
         assert result["n"] == 4 and result["k"] == 2
         assert result["centroid"] == [1.0, 1.0]
 
+    def test_huge_integer_is_non_finite(self, run_cli, tmp_path):
+        path = tmp_path / "huge.jsonl"
+        path.write_text('{"id": "a", "vector": [1.0, 2.0]}\n'
+                        '{"id": "b", "vector": [' + "1" * 400 + ', 0.0]}\n')
+        code, out, err = run_cli("diversity", path)
+        assert code == 1
+        error = error_of(err)
+        assert error["code"] == "non_finite_value"
+        assert "line 2" in error["message"]
+
     def test_matches_library_report(self, run_cli, write_jsonl):
         rng = np.random.default_rng(11)
         rows = [
@@ -509,6 +519,72 @@ class TestSaturateCommand:
         error = error_of(err)
         assert error["code"] == "provider_error"
         assert "backend on fire" in error["message"]
+
+    def test_bad_baseline_rejected_before_any_spawn(self, run_cli, tmp_path, stub_script):
+        marker = tmp_path / "provider-ran"
+        provider = stub_script(
+            f"""\
+            import json, pathlib
+            pathlib.Path({str(marker)!r}).write_text("ran")
+            print(json.dumps({{"text": "t"}}))
+            """
+        )
+        out_path = tmp_path / "x.jsonl"
+        code, stdout, err = run_cli(
+            "saturate", "--init-count", 5, "--provider", quoted(*provider),
+            "--embedder", "true", "--baseline", 0, "--out", out_path,
+        )
+        assert code == 2
+        assert "--baseline" in err
+        assert not marker.exists()
+        assert not out_path.exists()
+
+    def test_failing_provider_keeps_completed_work(self, run_cli, tmp_path, stub_script):
+        calls = tmp_path / "calls"
+        provider = stub_script(
+            f"""\
+            import argparse, json, pathlib, sys
+            p = argparse.ArgumentParser()
+            p.add_argument("--count", type=int, required=True)
+            a = p.parse_args()
+            state = pathlib.Path({str(calls)!r})
+            n = int(state.read_text()) + 1 if state.exists() else 1
+            state.write_text(str(n))
+            if n == 3:
+                sys.stderr.write("backend on fire")
+                sys.exit(3)
+            for i in range(a.count):
+                print(json.dumps({{"text": f"call{{n}}_{{i}}"}}))
+            """
+        )
+        embedder = stub_script(
+            """\
+            import hashlib, json, sys
+            for line in sys.stdin:
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+                h = hashlib.blake2b(obj["text"].encode(), digest_size=8).digest()
+                print(json.dumps({"id": str(obj["id"]), "vector": [b / 64.0 for b in h[:4]]}))
+            """
+        )
+        out_path = tmp_path / "partial.jsonl"
+        trace_path = tmp_path / "partial-trace.jsonl"
+        code, stdout, err = run_cli(
+            "saturate", "--init-count", 10, "--provider", quoted(*provider),
+            "--embedder", quoted(*embedder), "--perc", 0.2, "--early-stop", 50,
+            "--reps", 2, "--out", out_path, "--trace", trace_path, timeout=300,
+        )
+        assert code == 1
+        error = error_of(err)
+        assert error["code"] == "provider_error"
+        assert "backend on fire" in error["message"]
+        # call 1 bootstraps 10 items, call 2 completes iteration 1 with 2 more
+        partial = load_set(out_path)
+        assert partial.ids() == tuple(str(i) for i in range(10)) + ("b1_0", "b1_1")
+        trace_rows = [json.loads(l) for l in trace_path.read_text().splitlines()]
+        assert [row["iteration"] for row in trace_rows] == [1]
+        assert trace_rows[0]["batch_size"] == 2
 
     def test_bad_init_count_is_usage_error(self, run_cli, tmp_path):
         code, stdout, err = run_cli(

@@ -105,6 +105,45 @@ class TestSet:
         with pytest.raises(MalformedLine):
             EmbeddingSet.from_array(np.ones((2, 2)), ids=["only-one"])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_from_array_rejects_non_finite(self, bad):
+        values = np.ones((3, 2))
+        values[1, 0] = bad
+        with pytest.raises(NonFiniteValue):
+            EmbeddingSet.from_array(values)
+
+    def test_from_array_rejects_empty_vectors(self):
+        with pytest.raises(EmptyVector):
+            EmbeddingSet.from_array(np.ones((3, 0)))
+
+    def test_from_array_rejects_empty_set(self):
+        with pytest.raises(EmptySet):
+            EmbeddingSet.from_array(np.ones((0, 3)))
+
+    def test_from_array_rejects_repeated_ids(self):
+        with pytest.raises(DuplicateId):
+            EmbeddingSet.from_array(np.ones((3, 2)), ids=["a", "b", "a"])
+
+    def test_from_array_owns_a_read_only_copy(self):
+        values = np.arange(6.0).reshape(3, 2)
+        s = EmbeddingSet.from_array(values)
+        values[0, 0] = 99.0
+        assert s.vectors[0, 0] == 0.0
+        assert s.vectors is s.vectors
+        with pytest.raises(ValueError):
+            s.vectors[0, 0] = 1.0
+
+    def test_records_round_trip_with_labels_and_meta(self):
+        s = EmbeddingSet(
+            [
+                EmbeddingRecord(id="a", vector=np.array([0.5, 1.0]), label="walk"),
+                EmbeddingRecord(id="b", vector=np.array([2.0, -1.0]), meta={"k": "v"}),
+                EmbeddingRecord(id="c", vector=np.array([3.0, 0.0]), label="run",
+                                meta={"src": "x"}),
+            ]
+        )
+        assert EmbeddingSet(list(s)) == s
+
     def test_subset_preserves_original_order(self):
         s = EmbeddingSet([rec("a", 1), rec("b", 2), rec("c", 3)])
         sub = subset(s, ["c", "a"])
@@ -162,6 +201,7 @@ class TestParse:
             '{"id": "x", "vector": [Infinity]}',
             '{"id": "x", "vector": [-Infinity]}',
             '{"id": "x", "vector": [1e999]}',
+            pytest.param('{"id": "x", "vector": [' + "1" * 400 + ']}', id="huge-int"),
         ],
     )
     def test_non_finite_rejected(self, line):
