@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .diversity import DiversityScore, diversity_report
 from .embedset import EmbeddingSet, _same_dimension
@@ -109,6 +108,10 @@ def pearson_p(r: float, n: int) -> float:
         raise ValueError(f"r must lie in [-1, 1], got {r}")
     if abs(r) == 1.0:
         return 0.0
+    # scipy is imported here, not at module level, so that `import divsat`
+    # loads numpy only
+    from scipy.special import betainc
+
     df = n - 2
     t_squared = r * r * df / (1.0 - r * r)
     x = df / (df + t_squared)

@@ -231,7 +231,10 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 def _kernel_from_args(args: argparse.Namespace) -> KernelConfig:
     if getattr(args, "bandwidth", None) is not None:
-        return KernelConfig(bandwidth=args.bandwidth)
+        try:
+            return KernelConfig(bandwidth=args.bandwidth)
+        except ValueError as exc:
+            raise UsageError(f"--{exc}") from None
     return KernelConfig()
 
 
@@ -280,6 +283,7 @@ def cmd_diversity(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
 
 
 def cmd_mmd(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+    kernel = _kernel_from_args(args)
     x = load_set(args.x)
     y = load_set(args.y)
     if x.size != y.size and args.reps is None:
@@ -288,7 +292,7 @@ def cmd_mmd(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
             "mmd_calculator resampling estimator on unequal sizes"
         )
     est = mmd_calculator(
-        x, y, _kernel_from_args(args),
+        x, y, kernel,
         repetitions=args.reps if args.reps is not None else 1,
         seed=cfg.seed,
         normalized=not args.unnormalized,
@@ -296,20 +300,34 @@ def cmd_mmd(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
     return _estimate_dict(est, normalized=not args.unnormalized)
 
 
+# the flag behind each SaturationConfig field whose check can fail
+_SATURATE_FLAGS = {
+    "perc": "--perc",
+    "early_stop": "--early-stop",
+    "mmd_repetitions": "--reps",
+    "max_iterations": "--max-iter",
+}
+
+
 def cmd_saturate(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
     if args.init_count is not None and args.init_count < 1:
         raise UsageError("--init-count must be >= 1")
     if args.baseline < 1:
         raise UsageError("--baseline must be >= 1")
-    sat_cfg = SaturationConfig(
-        perc=args.perc,
-        early_stop=args.early_stop,
-        mmd_repetitions=args.reps,
-        kernel=_kernel_from_args(args),
-        seed=cfg.seed,
-        max_iterations=args.max_iter,
-        fixed_batch=args.fixed_batch,
-    )
+    kernel = _kernel_from_args(args)
+    try:
+        sat_cfg = SaturationConfig(
+            perc=args.perc,
+            early_stop=args.early_stop,
+            mmd_repetitions=args.reps,
+            kernel=kernel,
+            seed=cfg.seed,
+            max_iterations=args.max_iter,
+            fixed_batch=args.fixed_batch,
+        )
+    except ValueError as exc:
+        field = str(exc).split()[0]
+        raise UsageError(f"{_SATURATE_FLAGS.get(field, field)}: {exc}") from None
     provider = external_provider(args.provider, timeout=cfg.timeout)
     embedder = external_embedder(args.embedder, timeout=cfg.timeout)
     if args.init is not None:
@@ -324,7 +342,8 @@ def cmd_saturate(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
             initial, provider, embedder, sat_cfg, context=context
         )
     except DivsatError as exc:
-        # a failing provider or embedder keeps the iterations completed so far
+        # a failing provider or embedder, or a batch id already in --init,
+        # keeps the iterations completed so far
         partial = getattr(exc, "partial_set", None)
         if partial is not None:
             write_set(partial, args.out)

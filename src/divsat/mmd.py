@@ -9,15 +9,24 @@ default, which keeps scores on a stable scale as sets grow; pass
 Unequal sizes are handled by :func:`mmd_calculator`, which resamples the
 smaller set with replacement up to the larger size, scores each repetition,
 and reports the mean and spread.
+
+Every score goes through one engine, :class:`_Pairs`. It computes each
+distinct pair distance once per call, tile by tile, and reduces the
+resampling to count vectors: repetition r draws counts c_r over the small
+set S, and its three kernel sums are c_r' K_SS c_r, c_r . rowsum(K_SL) and
+sum K_LL. Distances are summed coordinate by coordinate from each pair's own
+difference vector, in the order scipy's ``cdist``/``pdist`` use, so a
+point's distance to itself is exactly 0, every distance equals scipy's to
+the bit, and no BLAS routine touches a value that reaches an output.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .embedset import EmbeddingSet, _same_dimension
 from .errors import DimensionMismatch, InvalidRepetitions, SizeMismatch
@@ -27,6 +36,9 @@ MEDIAN_HEURISTIC = "median-heuristic"
 
 # rounding residue below which a negative score is treated as zero
 NEGATIVE_CLAMP = -1e-9
+
+# rows and columns per tile; every per-tile temporary is bounded by it
+_TILE = 128
 
 
 @dataclass(frozen=True)
@@ -63,8 +75,182 @@ def gaussian_kernel(x, y, bandwidth: float) -> float:
         raise DimensionMismatch(f"points have shapes {xv.shape} and {yv.shape}")
     if not (math.isfinite(bandwidth) and bandwidth > 0):
         raise ValueError("bandwidth must be a finite positive number")
-    delta = xv - yv
-    return float(np.exp(-float(delta @ delta) / (2.0 * bandwidth * bandwidth)))
+    # summed in coordinate order, like every distance in this module
+    d2 = 0.0
+    for delta in (xv - yv).ravel().tolist():
+        d2 += delta * delta
+    return float(np.exp(-d2 / (2.0 * bandwidth * bandwidth)))
+
+
+def _within(blocks: list) -> list:
+    # tiles of the upper triangle inside one run of blocks; rows == cols
+    # marks a diagonal tile, which holds only its strictly upper pairs
+    tiles = []
+    for p, rows in enumerate(blocks):
+        if rows[1] - rows[0] > 1:
+            tiles.append((rows, rows))
+        tiles.extend((rows, cols) for cols in blocks[p + 1:])
+    return tiles
+
+
+def _shape(rows, cols) -> tuple:
+    # a diagonal tile is a flat run of its pairs, any other a rows x cols block
+    if rows == cols:
+        n = rows[1] - rows[0]
+        return (n * (n - 1) // 2,)
+    return (rows[1] - rows[0], cols[1] - cols[0])
+
+
+class _Pairs:
+    """The distinct pairs of a small set S and a large set L.
+
+    The distinct points are L alone when S is a row prefix of L (the
+    saturation case: the current set against itself plus a batch), else S
+    stacked on L; either way S is rows [0, n_s). The upper triangle of
+    their pair matrix is cut into tiles of at most _TILE x _TILE pairs,
+    grouped S-S, then S-rest, then rest-rest.
+    """
+
+    def __init__(self, small: np.ndarray, large: np.ndarray):
+        n_s = small.shape[0]
+        self.prefix = n_s <= large.shape[0] and np.array_equal(large[:n_s], small)
+        # one contiguous row per coordinate
+        if self.prefix:
+            self.coords = np.ascontiguousarray(large.T)
+        else:
+            self.coords = np.concatenate([small.T, large.T], axis=1)
+        self.n_s = n_s
+        self.l_start = 0 if self.prefix else n_s  # L is rows [l_start, D)
+        d = self.coords.shape[1]
+        head = [(i, min(i + _TILE, n_s)) for i in range(0, n_s, _TILE)]
+        rest = [(i, min(i + _TILE, d)) for i in range(n_s, d, _TILE)]
+        across = [(rows, cols) for rows in head for cols in rest]
+        self.groups = (_within(head), across, _within(rest))
+        self._stored: np.ndarray | None = None
+
+    def _sqdist(self, rows, cols, out: np.ndarray) -> np.ndarray:
+        """Squared distances of one tile into ``out``, one coordinate at a time."""
+        (i0, i1), (j0, j1) = rows, cols
+        out[...] = 0.0
+        diff = np.empty_like(out)
+        if rows == cols:
+            iu, ju = np.triu_indices(i1 - i0, 1)
+            left, right = np.empty_like(out), np.empty_like(out)
+            for coord in self.coords:
+                np.take(coord, iu + i0, out=left)
+                np.take(coord, ju + i0, out=right)
+                np.subtract(left, right, out=diff)
+                np.multiply(diff, diff, out=diff)
+                out += diff
+        else:
+            for coord in self.coords:
+                np.subtract(coord[i0:i1, None], coord[None, j0:j1], out=diff)
+                np.multiply(diff, diff, out=diff)
+                out += diff
+        return out
+
+    def _tiles(self):
+        """(rows, cols, squared distances) per tile, in group order."""
+        offset = 0
+        for group in self.groups:
+            for rows, cols in group:
+                shape = _shape(rows, cols)
+                size = math.prod(shape)
+                if self._stored is None:
+                    d2 = self._sqdist(rows, cols, np.empty(shape))
+                else:
+                    d2 = self._stored[offset:offset + size].reshape(shape)
+                offset += size
+                yield rows, cols, d2
+
+    def median(self) -> float:
+        """np.median of the positive pair distances of vstack(S, L), bit for bit.
+
+        The distances are stored and reused by :meth:`sums`. In the prefix
+        case each S-S pair occurs 4 times in that pooled stack and each
+        S-rest pair twice, so every point of S counts twice.
+        """
+        sizes = [sum(math.prod(_shape(*tile)) for tile in group) for group in self.groups]
+        stored = np.empty(sum(sizes))
+        offset = 0
+        for rows, cols, d2 in self._tiles():
+            stored[offset:offset + d2.size] = d2.ravel()
+            offset += d2.size
+        self._stored = stored
+        runs = []
+        for part in np.split(stored, np.cumsum(sizes)[:-1]):
+            run = part[part > 0]
+            run.sort()
+            runs.append(run)
+        return _weighted_median(runs, (4, 2, 1) if self.prefix else (1, 1, 1))
+
+    def sums(self, bandwidth: float, counts: np.ndarray):
+        """Kernel sums for each row c of ``counts`` (one weight per S point).
+
+        Returns (T, Q, X): T = sum K_LL, Q[r] = c_r' K_SS c_r and
+        X[r] = c_r . rowsum(K_SL).
+        """
+        reps, n_s, lo = counts.shape[0], self.n_s, self.l_start
+        # row r < reps weights S points by c_r; row reps marks the points of L
+        weights = np.zeros((reps + 1, self.coords.shape[1]))
+        weights[:reps, :n_s] = counts
+        weights[reps, lo:] = 1.0
+        # Every row goes through the same arithmetic, so when S equals L and
+        # c = 1 the three sums agree to the bit and mmd(X, X) is exactly 0.
+        acc = weights.copy()  # the diagonal: K(x, x) = 1
+        inv = 1.0 / (2.0 * bandwidth * bandwidth)
+
+        def add(rows, cols, kern, other_in_l):
+            # acc[m, i] += sum_j K(i, j) weights[m, j] for i in rows, j in cols
+            first = 0 if cols[1] <= n_s and rows[1] <= n_s else reps
+            last = reps + 1 if other_in_l else reps
+            for m in range(first, last):
+                acc[m, rows[0]:rows[1]] += (kern * weights[m, cols[0]:cols[1]]).sum(axis=1)
+
+        for rows, cols, d2 in self._tiles():
+            kern = np.exp(-d2 * inv)
+            if rows == cols:
+                n = rows[1] - rows[0]
+                square = np.zeros((n, n))
+                iu, ju = np.triu_indices(n, 1)
+                square[iu, ju] = kern
+                square[ju, iu] = kern
+                add(rows, rows, square, rows[0] >= lo)
+            else:
+                add(rows, cols, kern, cols[0] >= lo)
+                add(cols, rows, kern.T, rows[0] >= lo)
+        q = (counts * acc[:reps, :n_s]).sum(axis=1)
+        x = (counts * acc[reps, :n_s]).sum(axis=1)
+        t = float(acc[reps, lo:].sum())
+        return t, q, x
+
+
+def _weighted_median(runs: list, weights: tuple) -> float:
+    """Median of the square roots of a multiset given as sorted runs.
+
+    Run g stands for each of its values ``weights[g]`` times. The two middle
+    order statistics are found by bisection and averaged by np.mean, as
+    np.median does on the expanded multiset; 1.0 when it is empty.
+    """
+    count = sum(w * run.size for w, run in zip(weights, runs))
+    if count == 0:
+        return 1.0
+
+    def at(rank: int) -> float:
+        # the smallest value with more than ``rank`` items at or below it
+        def covers(v) -> bool:
+            return sum(w * int(np.searchsorted(run, v, "right"))
+                       for w, run in zip(weights, runs)) > rank
+
+        best = math.inf
+        for run in runs:
+            i = bisect.bisect_left(range(run.size), True, key=lambda j: covers(run[j]))
+            if i < run.size:
+                best = min(best, float(run[i]))
+        return best
+
+    middle = np.sqrt([at((count - 1) // 2), at(count // 2)])
+    return float(np.mean(middle))
 
 
 def median_heuristic(x_set: EmbeddingSet, y_set: EmbeddingSet) -> float:
@@ -74,39 +260,15 @@ def median_heuristic(x_set: EmbeddingSet, y_set: EmbeddingSet) -> float:
     heuristic has nothing to measure and falls back to 1.0.
     """
     _same_dimension(x_set, y_set)
-    pooled = np.vstack([x_set.vectors, y_set.vectors])
-    distances = pdist(pooled)
-    positive = distances[distances > 0]
-    if positive.size == 0:
-        return 1.0
-    return float(np.median(positive))
+    if x_set.size > y_set.size:
+        x_set, y_set = y_set, x_set
+    return _Pairs(x_set.vectors, y_set.vectors).median()
 
 
 def resolve_bandwidth(cfg: KernelConfig, x_set: EmbeddingSet, y_set: EmbeddingSet) -> float:
     if cfg.bandwidth == MEDIAN_HEURISTIC:
         return median_heuristic(x_set, y_set)
     return float(cfg.bandwidth)
-
-
-def _kernel_total(xv: np.ndarray, yv: np.ndarray, bandwidth: float) -> float:
-    """Sum K(x,x') + sum K(y,y') - 2 sum K(x,y), diagonals included."""
-    inv = 1.0 / (2.0 * bandwidth * bandwidth)
-    kxx = float(np.exp(-cdist(xv, xv, "sqeuclidean") * inv).sum())
-    kyy = float(np.exp(-cdist(yv, yv, "sqeuclidean") * inv).sum())
-    # The cross matrix is summed with its operands in a canonical order so
-    # that swapping the arguments cannot change the reduction order and the
-    # statistic stays symmetric to the last bit.
-    if xv.tobytes() <= yv.tobytes():
-        cross = float(np.exp(-cdist(xv, yv, "sqeuclidean") * inv).sum())
-    else:
-        cross = float(np.exp(-cdist(yv, xv, "sqeuclidean") * inv).sum())
-    return kxx + kyy - 2.0 * cross
-
-
-def _clamp(score: float) -> float:
-    if NEGATIVE_CLAMP <= score < 0.0:
-        return 0.0
-    return score
 
 
 def mmd(
@@ -139,12 +301,7 @@ def mmd(
             f"sets have sizes {x_set.size} and {y_set.size}; "
             "mmd_calculator resamples the smaller set to compare unequal sizes"
         )
-    bandwidth = resolve_bandwidth(cfg, x_set, y_set)
-    n = x_set.size
-    score = _clamp(_kernel_total(x_set.vectors, y_set.vectors, bandwidth) / (n * n))
-    if not normalized:
-        return score * (n * n)
-    return score
+    return mmd_calculator(x_set, y_set, cfg, normalized=normalized).mean
 
 
 def mmd_calculator(
@@ -166,32 +323,42 @@ def mmd_calculator(
     per-repetition scores.
 
     A median-heuristic bandwidth is resolved once from the original,
-    pre-resampling pooled sets and held fixed across repetitions.
-    Repetition r draws from generator seed ``seed + r``, so the estimate is
-    reproducible and repetitions are independent.
+    pre-resampling pooled sets and held fixed across repetitions. The pool
+    is the two sets stacked, so when the smaller set is a prefix of the
+    larger one (as in saturation) each of its points counts twice; this is
+    the long-standing definition and is kept on purpose. The estimate is
+    the same bit for bit whether the bandwidth is resolved here or passed
+    in explicitly. Repetition r draws from generator seed ``seed + r``, so
+    the estimate is reproducible and repetitions are independent.
     """
     if repetitions < 1:
         raise InvalidRepetitions(f"repetitions must be >= 1, got {repetitions}")
     _same_dimension(a_set, b_set)
-    bandwidth = resolve_bandwidth(cfg, a_set, b_set)
     sizes = (a_set.size, b_set.size)
-    fixed = KernelConfig(bandwidth=bandwidth)
     if a_set.size == b_set.size:
-        score = mmd(a_set, b_set, fixed, normalized=normalized)
-        return MmdEstimate(
-            mean=score, stddev=0.0, repetitions=1,
-            bandwidth_used=bandwidth, sizes=sizes,
-        )
-    small, large = (a_set, b_set) if a_set.size < b_set.size else (b_set, a_set)
-    target = large.size
-    small_values = small.vectors
-    large_values = large.vectors
-    scores = np.empty(repetitions, dtype=np.float64)
-    for r in range(repetitions):
-        rng = make_rng(seed + r)
-        idx = rng.integers(0, small.size, size=target)
-        raw = _kernel_total(small_values[idx], large_values, bandwidth) / (target * target)
-        scores[r] = _clamp(raw)
+        # Scored once, with the operands in a canonical order, so swapping
+        # the arguments cannot change any reduction and the score stays
+        # symmetric to the bit.
+        small, large = sorted((a_set.vectors, b_set.vectors), key=lambda v: v.tobytes())
+        counts = np.ones((1, a_set.size))
+        repetitions = 1
+    else:
+        small, large = sorted((a_set.vectors, b_set.vectors), key=len)
+        # repetition r resamples the small set as counts: how often each point is drawn
+        counts = np.array([
+            np.bincount(make_rng(seed + r).integers(0, len(small), size=len(large)),
+                        minlength=len(small))
+            for r in range(repetitions)
+        ], dtype=np.float64)
+    target = len(large)
+    pairs = _Pairs(small, large)
+    if cfg.bandwidth == MEDIAN_HEURISTIC:
+        bandwidth = pairs.median()
+    else:
+        bandwidth = float(cfg.bandwidth)
+    t, q, x = pairs.sums(bandwidth, counts)
+    raw = (q + t - 2.0 * x) / (target * target)
+    scores = np.where((NEGATIVE_CLAMP <= raw) & (raw < 0.0), 0.0, raw)
     mean = float(scores.mean())
     stddev = float(scores.std())
     if not normalized:

@@ -179,7 +179,7 @@ def _default_mmd(
 
 
 def _fail(exc: DivsatError, steps: list[TraceStep], partial: EmbeddingSet | None):
-    # Propagated provider/embedder failures keep the work done so far.
+    # Propagated failures keep the work done so far.
     exc.trace_steps = tuple(steps)
     exc.partial_set = partial
     raise exc
@@ -220,7 +220,9 @@ def run_saturation(
             activity name).
         mmd_fn: override for the scoring function, used to replay scripted
             estimates; defaults to the resampling MMD estimator comparing
-            the current set against current plus batch.
+            the current set against current plus batch. Its median-heuristic
+            bandwidth pools the two, so every current point counts twice;
+            that is the long-standing definition, kept on purpose.
 
     Returns:
         The final embedding set (the initial set is a prefix of it) and the
@@ -230,6 +232,8 @@ def run_saturation(
         ProviderError, EmbedderError, ProtocolError, SpawnError: propagated
             from the batch machinery, with the partial trace attached as
             ``exc.trace_steps`` and the set so far as ``exc.partial_set``.
+        DuplicateId: a batch id collides with an id of the initial set;
+            the partial trace and set are attached the same way.
     """
     estimator = mmd_fn if mmd_fn is not None else _default_mmd
     steps: list[TraceStep] = []
@@ -261,9 +265,13 @@ def run_saturation(
             break
         exhausted = len(texts) < count
         batch = _embed(embedder, texts, steps, partial=state.embeddings)
-        # Batch ids are prefixed with the iteration so accumulation can never
-        # collide with earlier batches or the initial set.
-        combined = _merge(state.embeddings, batch, id_prefix=f"b{iteration}_")
+        # Batch ids are prefixed with the iteration so batches never collide
+        # with each other; an initial set can still hold such ids (an earlier
+        # run's output passed back in), and then the work so far is kept.
+        try:
+            combined = _merge(state.embeddings, batch, id_prefix=f"b{iteration}_")
+        except DuplicateId as exc:
+            _fail(exc, steps, state.embeddings)
         seed_i = as_uint64(cfg.seed ^ iteration)
         estimate = estimator(state.embeddings, combined, cfg, seed_i)
         previous_streak = state.stop_condition

@@ -243,6 +243,15 @@ class TestMmdCommand:
         code, out, err = run_cli("mmd", x, y, "--bandwidth", 2.5, "--median")
         assert code == 2
 
+    @pytest.mark.parametrize("bandwidth", ["-1", "0", "nan", "inf"])
+    def test_bad_bandwidth_is_usage_error(self, run_cli, write_jsonl, bandwidth):
+        x, y = self.write_pair(write_jsonl, 8, 8)
+        code, out, err = run_cli("mmd", x, y, "--bandwidth", bandwidth)
+        assert code == 2
+        assert out == ""
+        assert "--bandwidth" in err
+        assert "Traceback" not in err
+
 
 class TestSynthCommand:
     def test_writes_loadable_deterministic_set(self, run_cli, tmp_path):
@@ -585,6 +594,72 @@ class TestSaturateCommand:
         trace_rows = [json.loads(l) for l in trace_path.read_text().splitlines()]
         assert [row["iteration"] for row in trace_rows] == [1]
         assert trace_rows[0]["batch_size"] == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--perc", "0"), ("--perc", "1.5"), ("--reps", "0"), ("--max-iter", "0"),
+        ("--early-stop", "-1"), ("--bandwidth", "-1"), ("--bandwidth", "nan"),
+    ])
+    def test_bad_flag_rejected_before_any_spawn(self, run_cli, tmp_path, stub_script,
+                                                flag, value):
+        marker = tmp_path / "child-ran"
+        child = stub_script(
+            f"""\
+            import json, pathlib
+            pathlib.Path({str(marker)!r}).write_text("ran")
+            print(json.dumps({{"text": "t"}}))
+            """
+        )
+        out_path = tmp_path / "x.jsonl"
+        code, stdout, err = run_cli(
+            "saturate", "--init-count", 5, "--provider", quoted(*child),
+            "--embedder", quoted(*child), flag, value, "--out", out_path,
+        )
+        assert code == 2
+        assert flag in err
+        assert "Traceback" not in err
+        assert not marker.exists()
+        assert not out_path.exists()
+
+    def test_batch_id_collision_keeps_completed_work(self, run_cli, tmp_path, stub_script,
+                                                     write_jsonl):
+        provider = stub_script(
+            """\
+            import argparse, json
+            p = argparse.ArgumentParser()
+            p.add_argument("--count", type=int, required=True)
+            for i in range(p.parse_args().count):
+                print(json.dumps({"text": f"t{i}"}))
+            """
+        )
+        embedder = stub_script(
+            """\
+            import json, sys
+            for line in sys.stdin:
+                if line.strip():
+                    obj = json.loads(line)
+                    print(json.dumps({"id": str(obj["id"]), "vector": [obj["id"] / 3.0, 1.0]}))
+            """
+        )
+        # iteration 1 adds b1_0; iteration 2 adds b2_0 and b2_1, and b2_1 is taken
+        ids = [f"x{i}" for i in range(19)] + ["b2_1"]
+        init = write_jsonl("init.jsonl", [
+            {"id": rid, "vector": [float(i), -float(i)]} for i, rid in enumerate(ids)
+        ])
+        out_path = tmp_path / "out.jsonl"
+        trace_path = tmp_path / "trace.jsonl"
+        code, stdout, err = run_cli(
+            "saturate", "--init", init, "--provider", quoted(*provider),
+            "--embedder", quoted(*embedder), "--reps", 2, "--early-stop", 50,
+            "--out", out_path, "--trace", trace_path, timeout=300,
+        )
+        assert code == 1
+        error = error_of(err)
+        assert error["code"] == "duplicate_id"
+        assert "b2_1" in error["message"]
+        assert load_set(out_path).ids() == tuple(ids) + ("b1_0",)
+        trace_rows = [json.loads(l) for l in trace_path.read_text().splitlines()]
+        assert [row["iteration"] for row in trace_rows] == [1]
+        assert trace_rows[0]["batch_size"] == 1
 
     def test_bad_init_count_is_usage_error(self, run_cli, tmp_path):
         code, stdout, err = run_cli(

@@ -1,4 +1,5 @@
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -276,3 +277,175 @@ def test_mmd_nonnegative_property(xa, ya, bw):
     y = as_set(ya[:n], prefix="y")
     score = mmd(x, y, KernelConfig(bandwidth=float(bw)))
     assert score >= 0.0
+
+
+def resampled_oracle(small, large, bw, repetitions, seed, normalized=True):
+    """Mean and stddev from explicit resampled matrices, scored by oracle_mmd."""
+    from divsat.rng import make_rng
+
+    n = len(large)
+    scores = []
+    for r in range(repetitions):
+        idx = make_rng(seed + r).integers(0, len(small), size=n)
+        score = oracle_mmd(small[idx].tolist(), large.tolist(), bw)
+        scores.append(score if normalized else score * n * n)
+    return float(np.mean(scores)), float(np.std(scores))
+
+
+def pooled_pdist_median(small, large):
+    """np.median of the positive pdist distances of the stacked sets."""
+    from scipy.spatial.distance import pdist
+
+    distances = pdist(np.vstack([small, large]))
+    positive = distances[distances > 0]
+    return float(np.median(positive)) if positive.size else 1.0
+
+
+def engine_pair(n_s, n_l, k, prefix, duplicates, seed):
+    """A (small, large) pair of arrays; small is large's leading rows when prefix."""
+    rng = np.random.default_rng(seed)
+    large = rng.normal(size=(n_l, k))
+    if duplicates:
+        large[1::3] = large[0]
+    small = large[:n_s].copy() if prefix else rng.normal(size=(n_s, k)) + 0.3
+    if duplicates and not prefix:
+        small[-1] = large[-1]
+    return small, large
+
+
+class TestEngine:
+    @pytest.mark.parametrize("prefix", [True, False], ids=["prefix", "separate"])
+    @pytest.mark.parametrize("n_s", [1, 2, 7])
+    @pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicates"])
+    @pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "raw"])
+    def test_count_vectors_match_resampled_oracle(self, prefix, n_s, duplicates, normalized):
+        small, large = engine_pair(n_s, 11, 3, prefix, duplicates, seed=n_s)
+        est = mmd_calculator(as_set(small), as_set(large, prefix="y"),
+                             repetitions=5, seed=40, normalized=normalized)
+        bw = pooled_pdist_median(small, large)
+        assert est.bandwidth_used == bw
+        mean, stddev = resampled_oracle(small, large, bw, 5, 40, normalized)
+        assert est.mean == pytest.approx(mean, rel=1e-9, abs=1e-12)
+        assert est.stddev == pytest.approx(stddev, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("n_s", [7, 130])
+    @pytest.mark.parametrize("prefix", [True, False], ids=["prefix", "separate"])
+    def test_tiled_sets_match_resampled_oracle(self, n_s, prefix):
+        # more than one tile on a side, so partial sums cross tile edges
+        small, large = engine_pair(n_s, 140, 2, prefix, duplicates=True, seed=3)
+        cfg = KernelConfig(bandwidth=0.9)
+        est = mmd_calculator(as_set(small), as_set(large, prefix="y"), cfg,
+                             repetitions=2, seed=5)
+        mean, stddev = resampled_oracle(small, large, 0.9, 2, 5)
+        assert est.mean == pytest.approx(mean, rel=1e-9, abs=1e-12)
+        assert est.stddev == pytest.approx(stddev, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("sizes", [(300, 340), (340, 300), (300, 300)])
+    @pytest.mark.parametrize("prefix", [True, False], ids=["prefix", "separate"])
+    def test_explicit_median_bandwidth_gives_identical_estimate(self, sizes, prefix):
+        n_a, n_b = sizes
+        small, large = engine_pair(min(sizes), max(sizes), 5, prefix, duplicates=True, seed=8)
+        a, b = (small, large) if n_a <= n_b else (large, small)
+        a_set, b_set = as_set(a), as_set(b, prefix="y")
+        resolved = mmd_calculator(a_set, b_set, repetitions=4, seed=2)
+        explicit = mmd_calculator(a_set, b_set, KernelConfig(bandwidth=resolved.bandwidth_used),
+                                  repetitions=4, seed=2)
+        assert explicit == resolved
+        assert resolved.bandwidth_used == median_heuristic(a_set, b_set)
+
+    @pytest.mark.parametrize("prefix", [True, False], ids=["prefix", "separate"])
+    def test_tiled_median_is_pooled_pdist_median(self, prefix):
+        small, large = engine_pair(150, 290, 4, prefix, duplicates=True, seed=11)
+        got = median_heuristic(as_set(small), as_set(large, prefix="y"))
+        assert got == pooled_pdist_median(small, large)
+
+    def test_tiled_self_score_is_exact_zero_and_symmetric(self):
+        rng = np.random.default_rng(12)
+        x = as_set(rng.normal(size=(300, 6)))
+        y = as_set(rng.normal(size=(300, 6)) + 0.2, prefix="y")
+        assert mmd(x, x) == 0.0
+        assert mmd(x, y) == mmd(y, x)
+        assert mmd_calculator(x, x).mean == 0.0
+
+
+grid_sets = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 9), st.just(2)),
+    elements=st.sampled_from([0.0, 0.5, 1.0, -2.0]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_sets, grid_sets, st.booleans())
+def test_median_heuristic_is_pooled_pdist_median(first, second, prefix):
+    # grid values give duplicate rows, and all-zero sets fall back to 1.0
+    large = np.vstack([first, second]) if prefix else second
+    small = first
+    if len(small) == len(large):
+        large = np.vstack([large, large[:1]])
+    want = pooled_pdist_median(small, large)
+    s_set, l_set = as_set(small), as_set(large, prefix="y")
+    assert median_heuristic(s_set, l_set) == want
+    assert median_heuristic(l_set, s_set) == want
+    assert mmd_calculator(s_set, l_set, repetitions=2).bandwidth_used == want
+
+
+def saturation_shaped(n, batch=40, k=64, seed=0):
+    """(current, combined) as one saturation iteration scores them."""
+    values = np.random.default_rng(seed).normal(size=(n + batch, k))
+    return as_set(values[:n]), as_set(values, prefix="y")
+
+
+def traced_peak(call):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEngineResources:
+    def test_median_heuristic_peak_is_bounded_by_the_distances(self):
+        current, combined = saturation_shaped(800)
+        d = combined.size  # current is a prefix, so the distinct points are combined
+        peak = traced_peak(lambda: mmd_calculator(current, combined, repetitions=10, seed=1))
+        assert peak <= 1.5 * d * d * 8
+
+    def test_explicit_bandwidth_peak_does_not_grow_quadratically(self):
+        cfg = KernelConfig(bandwidth=11.0)
+        peaks = []
+        for n in (800, 1600):
+            current, combined = saturation_shaped(n)
+            peaks.append(traced_peak(
+                lambda: mmd_calculator(current, combined, cfg, repetitions=10, seed=1)))
+        assert peaks[1] <= 2.5 * peaks[0]
+
+    def test_estimate_is_independent_of_blas_threads(self):
+        import subprocess
+        import sys
+
+        from conftest import _child_env
+
+        script = textwrap.dedent("""\
+            import numpy as np
+            from divsat import EmbeddingSet, mmd_calculator
+            values = np.random.default_rng(4).normal(size=(540, 64))
+            current = EmbeddingSet.from_array(values[:500])
+            combined = EmbeddingSet.from_array(values, id_prefix="y")
+            other = EmbeddingSet.from_array(values[::-1][:520], id_prefix="z")
+            print(repr(mmd_calculator(current, combined, repetitions=10, seed=3)))
+            print(repr(mmd_calculator(other, combined, repetitions=10, seed=3)))
+            """)
+        outputs = []
+        for threads in ("1", "4"):
+            env = _child_env({name: threads for name in
+                              ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("MmdEstimate(") == 2

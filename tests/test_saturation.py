@@ -6,6 +6,7 @@ import pytest
 from divsat import (
     DimensionMismatch,
     DriftSpec,
+    DuplicateId,
     EmbeddingSet,
     GaussianSpec,
     KernelConfig,
@@ -270,6 +271,16 @@ class TestRunSources:
         assert len(ei.value.trace_steps) == 2
         # 20 initial + ceil(.05*20)=1 + ceil(.05*21)=2
         assert ei.value.partial_set.size == 23
+
+    def test_batch_id_collision_keeps_partial_work(self):
+        # an earlier run's output passed back in already holds b1_* ids
+        values = gaussian_set(GaussianSpec(k=2, seed=5), 20).vectors
+        initial = EmbeddingSet.from_array(values, ids=[f"b1_g{i}" for i in range(20)])
+        src = stationary_provider(GaussianSpec(k=2, seed=6))
+        with pytest.raises(DuplicateId) as ei:
+            run_saturation(initial, src, src, SaturationConfig(seed=0))
+        assert ei.value.trace_steps == ()
+        assert ei.value.partial_set == initial
 
     def test_drift_takes_longer_sample(self):
         """Spot-check of the drift property at the pinned parameterization."""
