@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -245,11 +246,20 @@ def _parse_vector(raw: str | None, k: int, flag: str) -> list[float] | None:
         parts = [float(p) for p in raw.split(",")]
     except ValueError:
         raise UsageError(f"{flag} must be a float or comma-separated floats") from None
+    if not all(math.isfinite(v) for v in parts):
+        raise UsageError(f"{flag} values must be finite")
     if len(parts) == 1:
         return parts * k
     if len(parts) != k:
         raise UsageError(f"{flag} needs 1 or {k} values, got {len(parts)}")
     return parts
+
+
+def _gaussian_spec(args: argparse.Namespace, mean: list[float] | None, seed: int) -> GaussianSpec:
+    try:
+        return GaussianSpec(k=args.k, sigma=args.sigma, mean=mean, seed=seed)
+    except ValueError as exc:
+        raise UsageError(f"--{exc}") from None
 
 
 def _score_dict(score: DiversityScore) -> dict:
@@ -371,8 +381,7 @@ def cmd_synth(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
         raise UsageError("--k must be >= 1")
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    mean = _parse_vector(args.mean_shift, args.k, "--mean-shift")
-    spec = GaussianSpec(k=args.k, sigma=args.sigma, mean=mean, seed=cfg.seed)
+    spec = _gaussian_spec(args, _parse_vector(args.mean_shift, args.k, "--mean-shift"), cfg.seed)
     embeddings = gaussian_set(spec, args.n)
     write_set(embeddings, args.out)
     return {
@@ -406,9 +415,8 @@ def _bump_state(path: str | None, amount: int) -> int:
 def cmd_synth_provider(args: argparse.Namespace, cfg: GlobalConfig) -> RawOutput:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
-    mean = _parse_vector(args.mean, args.k, "--mean")
+    spec = _gaussian_spec(args, _parse_vector(args.mean, args.k, "--mean"), cfg.seed)
     drift = _parse_vector(args.drift, args.k, "--drift")
-    spec = GaussianSpec(k=args.k, sigma=args.sigma, mean=mean, seed=cfg.seed)
     if args.role == "provider":
         if args.count is None:
             raise UsageError("the provider role needs --count")
@@ -553,11 +561,7 @@ def cmd_impact(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
 
 
 def _config_echo(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
-    echo = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("handler",) or callable(value):
-            continue
-        echo[key] = value
+    echo = {key: value for key, value in sorted(vars(args).items()) if not callable(value)}
     echo["seed"] = cfg.seed
     return echo
 
@@ -566,8 +570,6 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else key, value[key], rows)
-    elif isinstance(value, list):
-        rows.append((prefix, json.dumps(value)))
     else:
         rows.append((prefix, json.dumps(value)))
 
@@ -604,6 +606,8 @@ def dispatch(argv: list[str] | None = None) -> int:
             timeout=getattr(args, "timeout", 300.0),
             verbose=getattr(args, "verbose", 0),
         )
+        if not (math.isfinite(cfg.timeout) and cfg.timeout > 0):
+            raise UsageError(f"--timeout must be a finite number of seconds > 0, got {cfg.timeout}")
         if getattr(args, "json", False):
             cfg.fmt = "json"
         if cfg.verbose:

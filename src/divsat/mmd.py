@@ -10,14 +10,15 @@ Unequal sizes are handled by :func:`mmd_calculator`, which resamples the
 smaller set with replacement up to the larger size, scores each repetition,
 and reports the mean and spread.
 
-Every score goes through one engine, :class:`_Pairs`. It computes each
-distinct pair distance once per call, tile by tile, and reduces the
-resampling to count vectors: repetition r draws counts c_r over the small
-set S, and its three kernel sums are c_r' K_SS c_r, c_r . rowsum(K_SL) and
-sum K_LL. Distances are summed coordinate by coordinate from each pair's own
-difference vector, in the order scipy's ``cdist``/``pdist`` use, so a
-point's distance to itself is exactly 0, every distance equals scipy's to
-the bit, and no BLAS routine touches a value that reaches an output.
+Every score goes through one engine, :class:`_Pairs`. It computes the
+pair distances once per call, tile by tile (a tile on the diagonal also
+holds each pair's mirror image), and reduces the resampling to count
+vectors: repetition r draws counts c_r over the small set S, and its three
+kernel sums are c_r' K_SS c_r, c_r . rowsum(K_SL) and sum K_LL. Distances
+are summed coordinate by coordinate from each pair's own difference vector,
+in the order scipy's ``cdist``/``pdist`` use, so a point's distance to
+itself is exactly 0, every distance equals scipy's to the bit, and no BLAS
+routine touches a value that reaches an output.
 """
 
 from __future__ import annotations
@@ -82,38 +83,22 @@ def gaussian_kernel(x, y, bandwidth: float) -> float:
     return float(np.exp(-d2 / (2.0 * bandwidth * bandwidth)))
 
 
-def _within(blocks: list) -> list:
-    # tiles of the upper triangle inside one run of blocks; rows == cols
-    # marks a diagonal tile, which holds only its strictly upper pairs
-    tiles = []
-    for p, rows in enumerate(blocks):
-        if rows[1] - rows[0] > 1:
-            tiles.append((rows, rows))
-        tiles.extend((rows, cols) for cols in blocks[p + 1:])
-    return tiles
-
-
-def _shape(rows, cols) -> tuple:
-    # a diagonal tile is a flat run of its pairs, any other a rows x cols block
-    if rows == cols:
-        n = rows[1] - rows[0]
-        return (n * (n - 1) // 2,)
-    return (rows[1] - rows[0], cols[1] - cols[0])
-
-
 class _Pairs:
-    """The distinct pairs of a small set S and a large set L.
+    """The distinct pairs of two sets, the smaller S and the larger L.
 
-    The distinct points are L alone when S is a row prefix of L (the
-    saturation case: the current set against itself plus a batch), else S
-    stacked on L; either way S is rows [0, n_s). The upper triangle of
-    their pair matrix is cut into tiles of at most _TILE x _TILE pairs,
-    grouped S-S, then S-rest, then rest-rest.
+    The operands are put in one canonical order, by size and then by their
+    bytes, so swapping them cannot change any reduction. The distinct points
+    are L alone when S is a row prefix of L (the saturation case: the current
+    set against itself plus a batch), else S stacked on L; either way S is
+    rows [0, n_s). Rows are cut into blocks of at most _TILE, none straddling
+    n_s, and each block pair p <= q is one plain rows x cols tile, so a
+    diagonal tile holds its block's whole square.
     """
 
-    def __init__(self, small: np.ndarray, large: np.ndarray):
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        small, large = sorted((a, b), key=lambda v: (len(v), v.tobytes()))
         n_s = small.shape[0]
-        self.prefix = n_s <= large.shape[0] and np.array_equal(large[:n_s], small)
+        self.prefix = np.array_equal(large[:n_s], small)
         # one contiguous row per coordinate
         if self.prefix:
             self.coords = np.ascontiguousarray(large.T)
@@ -122,66 +107,42 @@ class _Pairs:
         self.n_s = n_s
         self.l_start = 0 if self.prefix else n_s  # L is rows [l_start, D)
         d = self.coords.shape[1]
-        head = [(i, min(i + _TILE, n_s)) for i in range(0, n_s, _TILE)]
-        rest = [(i, min(i + _TILE, d)) for i in range(n_s, d, _TILE)]
-        across = [(rows, cols) for rows in head for cols in rest]
-        self.groups = (_within(head), across, _within(rest))
-        self._stored: np.ndarray | None = None
+        blocks = [(i, min(i + _TILE, n_s)) for i in range(0, n_s, _TILE)]
+        blocks += [(i, min(i + _TILE, d)) for i in range(n_s, d, _TILE)]
+        self.tiles = [(rows, cols) for p, rows in enumerate(blocks) for cols in blocks[p:]]
+        self._stored: list | None = None
 
-    def _sqdist(self, rows, cols, out: np.ndarray) -> np.ndarray:
-        """Squared distances of one tile into ``out``, one coordinate at a time."""
+    def _sqdist(self, rows, cols) -> np.ndarray:
+        """Squared distances of one tile, summed one coordinate at a time."""
         (i0, i1), (j0, j1) = rows, cols
-        out[...] = 0.0
+        out = np.zeros((i1 - i0, j1 - j0))
         diff = np.empty_like(out)
-        if rows == cols:
-            iu, ju = np.triu_indices(i1 - i0, 1)
-            left, right = np.empty_like(out), np.empty_like(out)
-            for coord in self.coords:
-                np.take(coord, iu + i0, out=left)
-                np.take(coord, ju + i0, out=right)
-                np.subtract(left, right, out=diff)
-                np.multiply(diff, diff, out=diff)
-                out += diff
-        else:
-            for coord in self.coords:
-                np.subtract(coord[i0:i1, None], coord[None, j0:j1], out=diff)
-                np.multiply(diff, diff, out=diff)
-                out += diff
+        for coord in self.coords:
+            np.subtract(coord[i0:i1, None], coord[None, j0:j1], out=diff)
+            np.multiply(diff, diff, out=diff)
+            out += diff
         return out
-
-    def _tiles(self):
-        """(rows, cols, squared distances) per tile, in group order."""
-        offset = 0
-        for group in self.groups:
-            for rows, cols in group:
-                shape = _shape(rows, cols)
-                size = math.prod(shape)
-                if self._stored is None:
-                    d2 = self._sqdist(rows, cols, np.empty(shape))
-                else:
-                    d2 = self._stored[offset:offset + size].reshape(shape)
-                offset += size
-                yield rows, cols, d2
 
     def median(self) -> float:
         """np.median of the positive pair distances of vstack(S, L), bit for bit.
 
-        The distances are stored and reused by :meth:`sums`. In the prefix
-        case each S-S pair occurs 4 times in that pooled stack and each
-        S-rest pair twice, so every point of S counts twice.
+        The tiles are stored and reused by :meth:`sums`. Each distinct pair is
+        counted once, from the strict upper triangle of a diagonal tile, and
+        grouped S-S, S-rest or rest-rest. In the prefix case each S-S pair
+        occurs 4 times in that pooled stack and each S-rest pair twice, so
+        every point of S counts twice.
         """
-        sizes = [sum(math.prod(_shape(*tile)) for tile in group) for group in self.groups]
-        stored = np.empty(sum(sizes))
-        offset = 0
-        for rows, cols, d2 in self._tiles():
-            stored[offset:offset + d2.size] = d2.ravel()
-            offset += d2.size
-        self._stored = stored
+        self._stored = [self._sqdist(*tile) for tile in self.tiles]
+        groups = ([], [], [])
+        for (rows, cols), d2 in zip(self.tiles, self._stored):
+            if rows == cols:
+                d2 = d2[np.triu_indices_from(d2, 1)]
+            groups[(rows[0] >= self.n_s) + (cols[0] >= self.n_s)].append(d2.ravel())
         runs = []
-        for part in np.split(stored, np.cumsum(sizes)[:-1]):
-            run = part[part > 0]
+        for group in groups:
+            run = np.concatenate(group) if group else np.empty(0)
             run.sort()
-            runs.append(run)
+            runs.append(run[np.searchsorted(run, 0.0, "right"):])
         return _weighted_median(runs, (4, 2, 1) if self.prefix else (1, 1, 1))
 
     def sums(self, bandwidth: float, counts: np.ndarray):
@@ -207,15 +168,14 @@ class _Pairs:
             for m in range(first, last):
                 acc[m, rows[0]:rows[1]] += (kern * weights[m, cols[0]:cols[1]]).sum(axis=1)
 
-        for rows, cols, d2 in self._tiles():
+        stored = self._stored
+        if stored is None:
+            stored = (self._sqdist(*tile) for tile in self.tiles)
+        for (rows, cols), d2 in zip(self.tiles, stored):
             kern = np.exp(-d2 * inv)
             if rows == cols:
-                n = rows[1] - rows[0]
-                square = np.zeros((n, n))
-                iu, ju = np.triu_indices(n, 1)
-                square[iu, ju] = kern
-                square[ju, iu] = kern
-                add(rows, rows, square, rows[0] >= lo)
+                np.fill_diagonal(kern, 0.0)  # already counted in acc
+                add(rows, rows, kern, rows[0] >= lo)
             else:
                 add(rows, cols, kern, cols[0] >= lo)
                 add(cols, rows, kern.T, rows[0] >= lo)
@@ -260,8 +220,6 @@ def median_heuristic(x_set: EmbeddingSet, y_set: EmbeddingSet) -> float:
     heuristic has nothing to measure and falls back to 1.0.
     """
     _same_dimension(x_set, y_set)
-    if x_set.size > y_set.size:
-        x_set, y_set = y_set, x_set
     return _Pairs(x_set.vectors, y_set.vectors).median()
 
 
@@ -335,23 +293,19 @@ def mmd_calculator(
         raise InvalidRepetitions(f"repetitions must be >= 1, got {repetitions}")
     _same_dimension(a_set, b_set)
     sizes = (a_set.size, b_set.size)
-    if a_set.size == b_set.size:
-        # Scored once, with the operands in a canonical order, so swapping
-        # the arguments cannot change any reduction and the score stays
-        # symmetric to the bit.
-        small, large = sorted((a_set.vectors, b_set.vectors), key=lambda v: v.tobytes())
-        counts = np.ones((1, a_set.size))
+    n_s, target = min(sizes), max(sizes)
+    if n_s == target:
+        # scored once; the engine orders the operands canonically, so the
+        # score is symmetric to the bit
+        counts = np.ones((1, n_s))
         repetitions = 1
     else:
-        small, large = sorted((a_set.vectors, b_set.vectors), key=len)
         # repetition r resamples the small set as counts: how often each point is drawn
         counts = np.array([
-            np.bincount(make_rng(seed + r).integers(0, len(small), size=len(large)),
-                        minlength=len(small))
+            np.bincount(make_rng(seed + r).integers(0, n_s, size=target), minlength=n_s)
             for r in range(repetitions)
         ], dtype=np.float64)
-    target = len(large)
-    pairs = _Pairs(small, large)
+    pairs = _Pairs(a_set.vectors, b_set.vectors)
     if cfg.bandwidth == MEDIAN_HEURISTIC:
         bandwidth = pairs.median()
     else:

@@ -9,6 +9,7 @@ sampler over that pinned generator.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -31,8 +32,8 @@ class GaussianSpec:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be a finite positive number")
         mean = self.mean
         if mean is None:
             mean = (0.0,) * self.k
@@ -40,6 +41,8 @@ class GaussianSpec:
             mean = tuple(float(v) for v in mean)
             if len(mean) != self.k:
                 raise ValueError(f"mean has {len(mean)} entries, expected {self.k}")
+            if not all(math.isfinite(v) for v in mean):
+                raise ValueError("mean entries must be finite")
         object.__setattr__(self, "mean", mean)
 
     def mean_vector(self) -> np.ndarray:

@@ -306,6 +306,35 @@ class TestSynthCommand:
         code, _, err = run_cli("synth", "--k", 2, "--n", 0, "--out", tmp_path / "x")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--sigma", "0"), ("--sigma", "-1"), ("--sigma", "nan"), ("--sigma", "inf"),
+        ("--mean-shift", "inf"), ("--mean-shift", "0,nan"),
+    ])
+    def test_bad_distribution_rejected(self, run_cli, tmp_path, flag, value):
+        out = tmp_path / "x.jsonl"
+        code, stdout, err = run_cli("synth", "--k", 2, "--n", 5, flag, value, "--out", out)
+        assert code == 2
+        assert flag in err
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("role, flag, value", [
+        ("provider", "--sigma", "-1"), ("embedder", "--sigma", "inf"),
+        ("embedder", "--mean", "nan"), ("embedder", "--drift", "inf"),
+    ])
+    def test_provider_bad_distribution_rejected(self, run_cli, tmp_path, role, flag, value):
+        state = tmp_path / "counter"
+        code, stdout, err = run_cli(
+            "synth-provider", "--role", role, "--k", 2, "--count", 3, "--state", state,
+            flag, value, stdin='{"text": "a"}\n',
+        )
+        assert code == 2
+        assert flag in err
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert not state.exists()
+
 
 class TestSynthProviderCommand:
     def test_provider_role_emits_wire_lines(self, run_cli):
@@ -598,6 +627,7 @@ class TestSaturateCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--perc", "0"), ("--perc", "1.5"), ("--reps", "0"), ("--max-iter", "0"),
         ("--early-stop", "-1"), ("--bandwidth", "-1"), ("--bandwidth", "nan"),
+        ("--timeout", "0"), ("--timeout", "-1"), ("--timeout", "nan"), ("--timeout", "inf"),
     ])
     def test_bad_flag_rejected_before_any_spawn(self, run_cli, tmp_path, stub_script,
                                                 flag, value):
@@ -725,6 +755,23 @@ class TestFilterCommands:
         assert code == 0, err
         assert report_of(stdout)["result"]["total"] == 1
         assert json.loads(out.read_text())["id"] == "w0"
+
+    @pytest.mark.parametrize("value", ["0", "inf"])
+    def test_bad_timeout_rejected_before_any_spawn(self, run_cli, write_jsonl, stub_script,
+                                                   tmp_path, value):
+        captions = self.write_captions(write_jsonl, n=2)
+        marker = tmp_path / "judge-ran"
+        judge = stub_script(f"import pathlib; pathlib.Path({str(marker)!r}).write_text('ran')")
+        out = tmp_path / "v.jsonl"
+        code, stdout, err = run_cli(
+            "filter", "run", "--activity", "walking", "--captions", captions,
+            "--judge", quoted(*judge), "--timeout", value, "--out", out,
+        )
+        assert code == 2
+        assert "--timeout" in err
+        assert "Traceback" not in err
+        assert not marker.exists()
+        assert not out.exists()
 
     def test_failing_judge_is_domain_error(self, run_cli, write_jsonl, stub_script, tmp_path):
         captions = self.write_captions(write_jsonl, n=2)

@@ -390,6 +390,49 @@ def test_median_heuristic_is_pooled_pdist_median(first, second, prefix):
     assert mmd_calculator(s_set, l_set, repetitions=2).bandwidth_used == want
 
 
+def pinned_estimate(n_s, prefix, bandwidth, normalized):
+    """The estimate whose bits are pinned: n_s small rows against n_s + 131 large."""
+    small, large = engine_pair(n_s, n_s + 131, 4, prefix, duplicates=True, seed=n_s)
+    return mmd_calculator(as_set(small), as_set(large, prefix="y"), KernelConfig(bandwidth),
+                          repetitions=10, seed=3, normalized=normalized)
+
+
+# float.hex of (mean, stddev, bandwidth_used), recorded from the engine as it
+# stood before its tiles changed shape, at sizes around the 128-row tile edge
+PINNED_BITS = [
+    (1, True, MEDIAN_HEURISTIC, True,
+     ('0x1.40581683d62f0p-3', '0x0.0p+0', '0x1.304aca37bf274p+1')),
+    (1, False, 1.5, False,
+     ('0x1.4ade026303943p+14', '0x1.1040000000000p-38', '0x1.8000000000000p+0')),
+    (127, True, MEDIAN_HEURISTIC, False,
+     ('0x1.17821802de633p+7', '0x1.9d33862f28b8cp+5', '0x1.6685d823bfa0fp+1')),
+    (127, False, MEDIAN_HEURISTIC, True,
+     ('0x1.ea23e715b93fbp-4', '0x1.bb0a300b8efebp-8', '0x1.6426fac5f5ef7p+1')),
+    (128, True, 1.5, True,
+     ('0x1.3a23e9f60b17ep-8', '0x1.8e2de1cdc2a4bp-10', '0x1.8000000000000p+0')),
+    (128, False, MEDIAN_HEURISTIC, False,
+     ('0x1.09950bee86d6bp+13', '0x1.460b244b0bfd1p+9', '0x1.5bb29abe607fep+1')),
+    (128, False, 1.5, True,
+     ('0x1.6cfcc255894a3p-3', '0x1.655577875312ep-7', '0x1.8000000000000p+0')),
+    (129, True, MEDIAN_HEURISTIC, True,
+     ('0x1.9ffd84792603ep-9', '0x1.86e4f0219b2fap-10', '0x1.49c44f2a8aba8p+1')),
+    (129, False, 1.5, False,
+     ('0x1.08eaa66564ac3p+13', '0x1.41b7b890c1bfap+9', '0x1.8000000000000p+0')),
+    (257, True, MEDIAN_HEURISTIC, True,
+     ('0x1.6e104df5fa86ap-10', '0x1.46e6790b042c4p-11', '0x1.685614a86c73cp+1')),
+    (257, False, MEDIAN_HEURISTIC, False,
+     ('0x1.e2c334ed08f66p+12', '0x1.fee2c581627dcp+8', '0x1.669ada00ba884p+1')),
+    (257, True, 1.5, False,
+     ('0x1.5892fd0e4aa33p+8', '0x1.bf6a8bb1b60e2p+6', '0x1.8000000000000p+0')),
+]
+
+
+@pytest.mark.parametrize("n_s, prefix, bandwidth, normalized, bits", PINNED_BITS)
+def test_estimate_bits_are_pinned(n_s, prefix, bandwidth, normalized, bits):
+    est = pinned_estimate(n_s, prefix, bandwidth, normalized)
+    assert (est.mean.hex(), est.stddev.hex(), est.bandwidth_used.hex()) == bits
+
+
 def saturation_shaped(n, batch=40, k=64, seed=0):
     """(current, combined) as one saturation iteration scores them."""
     values = np.random.default_rng(seed).normal(size=(n + batch, k))
@@ -412,6 +455,13 @@ class TestEngineResources:
         current, combined = saturation_shaped(800)
         d = combined.size  # current is a prefix, so the distinct points are combined
         peak = traced_peak(lambda: mmd_calculator(current, combined, repetitions=10, seed=1))
+        assert peak <= 1.5 * d * d * 8
+        # two separate files, as the one-shot mmd command scores them
+        rng = np.random.default_rng(1)
+        first = as_set(rng.normal(size=(500, 64)))
+        second = as_set(rng.normal(size=(550, 64)), prefix="y")
+        d = first.size + second.size
+        peak = traced_peak(lambda: mmd_calculator(first, second, repetitions=10, seed=1))
         assert peak <= 1.5 * d * d * 8
 
     def test_explicit_bandwidth_peak_does_not_grow_quadratically(self):

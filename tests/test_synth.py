@@ -46,6 +46,11 @@ class TestGaussianSet:
             GaussianSpec(k=2, sigma=0.0)
         with pytest.raises(ValueError):
             GaussianSpec(k=2, sigma=-1.0)
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                GaussianSpec(k=2, sigma=value)
+            with pytest.raises(ValueError):
+                GaussianSpec(k=2, mean=(0.0, value))
 
     def test_mean_dimension_validated(self):
         with pytest.raises(ValueError):
