@@ -1,5 +1,5 @@
-"""Blocking subprocess and JSON Lines helpers shared by the external-command
-wrappers and the file loaders."""
+"""The one subprocess runner behind the external-command wrappers, and the
+JSON Lines helpers they share with the file loaders."""
 
 from __future__ import annotations
 
@@ -39,39 +39,32 @@ def json_objects(
         yield i, obj
 
 
-def as_argv(command: Sequence[str] | str) -> list[str]:
-    if isinstance(command, str):
-        return shlex.split(command)
-    return list(command)
+class External:
+    """One external command run to completion per call.
 
-
-def run_command(
-    argv: Sequence[str],
-    *,
-    input_text: str | None = None,
-    timeout: float = 300.0,
-    failure: type[DivsatError],
-) -> subprocess.CompletedProcess:
-    """Run ``argv`` to completion; any failure maps to ``failure`` (or SpawnError).
-
-    Captures stdout/stderr as text. Non-zero exit raises ``failure`` with a
-    tail of stderr; an unlaunchable command raises SpawnError; a timeout
-    raises ``failure``.
+    Subclasses name their role's error as ``failure``. A non-zero exit
+    raises it with the last five stderr lines, a timeout raises it too, and
+    a command that cannot launch raises SpawnError.
     """
-    try:
-        proc = subprocess.run(
-            list(argv),
-            input=input_text,
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
-    except (FileNotFoundError, PermissionError) as exc:
-        raise SpawnError(f"cannot launch {argv[0]!r}: {exc}") from None
-    except subprocess.TimeoutExpired:
-        raise failure(f"{argv[0]!r} timed out after {timeout}s") from None
-    if proc.returncode != 0:
-        tail = (proc.stderr or "").strip().splitlines()[-5:]
-        detail = " | ".join(tail) if tail else "no stderr"
-        raise failure(f"{argv[0]!r} exited {proc.returncode}: {detail}")
-    return proc
+
+    failure: type[DivsatError] = DivsatError
+
+    def __init__(self, command: Sequence[str] | str, timeout: float = 300.0):
+        self._argv = shlex.split(command) if isinstance(command, str) else list(command)
+        self._timeout = timeout
+
+    def _run(self, *extra_args: str, input_text: str | None = None) -> str:
+        """Run the command with ``extra_args`` appended; return its stdout."""
+        argv = [*self._argv, *extra_args]
+        try:
+            proc = subprocess.run(argv, input=input_text, capture_output=True, text=True,
+                                  timeout=self._timeout)
+        except (FileNotFoundError, PermissionError) as exc:
+            raise SpawnError(f"cannot launch {argv[0]!r}: {exc}") from None
+        except subprocess.TimeoutExpired:
+            raise self.failure(f"{argv[0]!r} timed out after {self._timeout}s") from None
+        if proc.returncode != 0:
+            tail = (proc.stderr or "").strip().splitlines()[-5:]
+            detail = " | ".join(tail) if tail else "no stderr"
+            raise self.failure(f"{argv[0]!r} exited {proc.returncode}: {detail}")
+        return proc.stdout

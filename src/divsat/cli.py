@@ -352,11 +352,9 @@ def cmd_saturate(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
             initial, provider, embedder, sat_cfg, context=context
         )
     except DivsatError as exc:
-        # a failing provider or embedder, or a batch id already in --init,
-        # keeps the iterations completed so far
-        partial = getattr(exc, "partial_set", None)
-        if partial is not None:
-            write_set(partial, args.out)
+        # any domain failure keeps the iterations completed so far
+        if exc.partial_set is not None:
+            write_set(exc.partial_set, args.out)
             if args.trace:
                 _write_steps(exc.trace_steps, args.trace)
         raise
@@ -593,6 +591,10 @@ def emit_report(command: str, config: dict, result: dict, duration_s: float,
     return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
+# seconds; subprocess waits in poll(), whose timeout is at most 2**31 - 1 ms
+_MAX_TIMEOUT = 2147483
+
+
 def dispatch(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -606,8 +608,8 @@ def dispatch(argv: list[str] | None = None) -> int:
             timeout=getattr(args, "timeout", 300.0),
             verbose=getattr(args, "verbose", 0),
         )
-        if not (math.isfinite(cfg.timeout) and cfg.timeout > 0):
-            raise UsageError(f"--timeout must be a finite number of seconds > 0, got {cfg.timeout}")
+        if not (0 < cfg.timeout <= _MAX_TIMEOUT):
+            raise UsageError(f"--timeout must be 0 < seconds <= {_MAX_TIMEOUT}, got {cfg.timeout}")
         if getattr(args, "json", False):
             cfg.fmt = "json"
         if cfg.verbose:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Protocol, Sequence, Union, overload
 
 from .embedset import EmbeddingSet, subset
@@ -29,7 +29,7 @@ from .errors import (
     UnknownVerdictId,
     UnparseableLine,
 )
-from ._proc import as_argv, json_objects, read_lines, run_command
+from ._proc import External, json_objects, read_lines
 
 PROMPT_BATCH_SIZE = 10
 
@@ -354,28 +354,18 @@ def load_truth(path) -> dict[str, bool]:
     return truth
 
 
-class _ExternalJudge:
-    def __init__(self, argv: list[str], timeout: float):
-        self._argv = argv
-        self._timeout = timeout
+class _ExternalJudge(External):
+    failure = JudgeError
 
     def judge(self, prompt: FilterPrompt) -> str:
-        payload = json.dumps(
-            {
-                "system_message": prompt.system_message,
-                "user_message": prompt.user_message,
-                "captions": [
-                    {"id": c.id, "caption": c.caption, "activity": c.activity}
-                    for c in prompt.batch
-                ],
-            }
-        )
-        proc = run_command(
-            self._argv, input_text=payload, timeout=self._timeout, failure=JudgeError
-        )
-        return proc.stdout
+        payload = {
+            "system_message": prompt.system_message,
+            "user_message": prompt.user_message,
+            "captions": [asdict(item) for item in prompt.batch],
+        }
+        return self._run(input_text=json.dumps(payload))
 
 
 def external_judge(command: Sequence[str] | str, timeout: float = 300.0) -> Judge:
     """Wrap a command as a judge: prompt JSON on stdin, raw reply on stdout."""
-    return _ExternalJudge(as_argv(command), timeout)
+    return _ExternalJudge(command, timeout)

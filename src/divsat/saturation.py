@@ -30,7 +30,7 @@ from .errors import (
     ProviderError,
 )
 from .mmd import KernelConfig, MmdEstimate, mmd_calculator
-from ._proc import as_argv, json_objects, run_command
+from ._proc import External, json_objects
 from .rng import as_uint64
 
 log = logging.getLogger(__name__)
@@ -140,16 +140,18 @@ def saturation_step(
     streak to zero and recenters the window there. The batch joins the
     accumulated set in both cases.
     """
-    return _advance(state, estimate, _merge(state.embeddings, batch))
+    return _advance(state, estimate, _merge(state.embeddings, batch), batch.size)[0]
 
 
 def _advance(
-    state: SaturationState, estimate: MmdEstimate, merged: EmbeddingSet
-) -> SaturationState:
-    # The window transition; ``merged`` is the state's set with the batch appended.
+    state: SaturationState, estimate: MmdEstimate, merged: EmbeddingSet, batch_size: int
+) -> tuple[SaturationState, TraceStep]:
+    # The window transition and its trace record; ``merged`` is the state's
+    # set with the batch of ``batch_size`` rows appended.
     score = estimate.mean
     spread = estimate.stddev
-    if state.range_min < score < state.range_max:
+    in_window = state.range_min < score < state.range_max
+    if in_window:
         stop = state.stop_condition + 1
         range_min = min(score - spread, state.range_min)
         range_max = max(score + spread, state.range_max)
@@ -157,12 +159,12 @@ def _advance(
         stop = 0
         range_min = score - spread
         range_max = score + spread
-    return SaturationState(
-        embeddings=merged,
-        stop_condition=stop,
-        range_min=range_min,
-        range_max=range_max,
-        iteration=state.iteration + 1,
+    iteration = state.iteration + 1
+    window = dict(stop_condition=stop, range_min=range_min, range_max=range_max)
+    return (
+        SaturationState(embeddings=merged, iteration=iteration, **window),
+        TraceStep(iteration=iteration, batch_size=batch_size, mmd_mean=score,
+                  mmd_stddev=spread, in_window=in_window, **window),
     )
 
 
@@ -178,24 +180,14 @@ def _default_mmd(
     )
 
 
-def _fail(exc: DivsatError, steps: list[TraceStep], partial: EmbeddingSet | None):
-    # Propagated failures keep the work done so far.
-    exc.trace_steps = tuple(steps)
-    exc.partial_set = partial
-    raise exc
-
-
-def _guarded(call: Callable, failure: type[DivsatError], message: str,
-             steps: list[TraceStep], partial: EmbeddingSet | None):
-    # One provider or embedder call; other exceptions become ``failure``.
+def _call(fn: Callable, failure: type[DivsatError], message: str):
+    # One provider or embedder call; foreign exceptions become ``failure``.
     try:
-        return call()
-    except DivsatError as exc:
-        _fail(exc, steps, partial)
+        return fn()
+    except DivsatError:
+        raise
     except Exception as exc:
-        wrapped = failure(f"{message}: {exc}")
-        wrapped.__cause__ = exc
-        _fail(wrapped, steps, partial)
+        raise failure(f"{message}: {exc}") from exc
 
 
 def run_saturation(
@@ -229,90 +221,69 @@ def run_saturation(
         per-iteration trace with the terminal reason.
 
     Raises:
-        ProviderError, EmbedderError, ProtocolError, SpawnError: propagated
-            from the batch machinery, with the partial trace attached as
-            ``exc.trace_steps`` and the set so far as ``exc.partial_set``.
-        DuplicateId: a batch id collides with an id of the initial set;
-            the partial trace and set are attached the same way.
+        DivsatError: any package error from the bootstrap or the loop, with
+            the completed steps as ``exc.trace_steps`` and the set so far as
+            ``exc.partial_set`` (None if the bootstrap set never existed):
+            ProviderError or EmbedderError (a failed or miscounting call;
+            foreign exceptions from in-process objects are wrapped in these),
+            ProtocolError, SpawnError, DimensionMismatch for a batch of
+            another dimension, DuplicateId for a batch id already present.
+        ValueError: a bootstrap size below 1.
     """
     estimator = mmd_fn if mmd_fn is not None else _default_mmd
+    if isinstance(initial, int) and initial < 1:
+        raise ValueError("bootstrap size must be >= 1")
     steps: list[TraceStep] = []
-    if isinstance(initial, int):
-        if initial < 1:
-            raise ValueError("bootstrap size must be >= 1")
-        texts = _guarded(lambda: list(provider.next_batch(initial, context)), ProviderError,
-                         "provider failed during bootstrap", steps, None)
-        if not texts:
-            raise ProviderError("provider produced no items during bootstrap")
-        current = _embed(embedder, texts, steps, partial=None)
-    else:
-        current = initial
-    initial_size = current.size
-    state = SaturationState(embeddings=current)
-    reason: StopReason | None = None
-
-    while state.stop_condition <= cfg.early_stop:
-        if state.iteration >= cfg.max_iterations:
-            reason = StopReason.MAX_ITERATIONS
-            break
-        iteration = state.iteration + 1
-        base = initial_size if cfg.fixed_batch else state.embeddings.size
-        count = max(1, math.ceil(cfg.perc * base))
-        texts = _guarded(lambda: list(provider.next_batch(count, context)), ProviderError,
-                         f"provider failed at iteration {iteration}", steps, state.embeddings)
-        if len(texts) == 0:
-            reason = StopReason.PROVIDER_EXHAUSTED
-            break
-        exhausted = len(texts) < count
-        batch = _embed(embedder, texts, steps, partial=state.embeddings)
-        # Batch ids are prefixed with the iteration so batches never collide
-        # with each other; an initial set can still hold such ids (an earlier
-        # run's output passed back in), and then the work so far is kept.
-        try:
+    state: SaturationState | None = None
+    reason = StopReason.SATURATED
+    try:
+        if isinstance(initial, int):
+            texts = _call(lambda: list(provider.next_batch(initial, context)), ProviderError,
+                          "provider failed during bootstrap")
+            if not texts:
+                raise ProviderError("provider produced no items during bootstrap")
+            initial = _embed(embedder, texts)
+        state = SaturationState(embeddings=initial)
+        while state.stop_condition <= cfg.early_stop:
+            if state.iteration >= cfg.max_iterations:
+                reason = StopReason.MAX_ITERATIONS
+                break
+            iteration = state.iteration + 1
+            base = initial.size if cfg.fixed_batch else state.embeddings.size
+            count = max(1, math.ceil(cfg.perc * base))
+            texts = _call(lambda: list(provider.next_batch(count, context)), ProviderError,
+                          f"provider failed at iteration {iteration}")
+            if len(texts) == 0:
+                reason = StopReason.PROVIDER_EXHAUSTED
+                break
+            batch = _embed(embedder, texts)
+            # Batch ids are prefixed with the iteration so batches never collide
+            # with each other; an initial set can still hold such ids (an earlier
+            # run's output passed back in), which raises DuplicateId here.
             combined = _merge(state.embeddings, batch, id_prefix=f"b{iteration}_")
-        except DuplicateId as exc:
-            _fail(exc, steps, state.embeddings)
-        seed_i = as_uint64(cfg.seed ^ iteration)
-        estimate = estimator(state.embeddings, combined, cfg, seed_i)
-        previous_streak = state.stop_condition
-        state = _advance(state, estimate, combined)
-        step = TraceStep(
-            iteration=iteration,
-            batch_size=batch.size,
-            mmd_mean=estimate.mean,
-            mmd_stddev=estimate.stddev,
-            in_window=state.stop_condition == previous_streak + 1,
-            stop_condition=state.stop_condition,
-            range_min=state.range_min,
-            range_max=state.range_max,
-        )
-        steps.append(step)
-        log.debug(
-            "iteration %d: n=%d score=%.6g sd=%.6g window=(%.6g, %.6g) streak=%d",
-            iteration, state.embeddings.size, estimate.mean, estimate.stddev,
-            state.range_min, state.range_max, state.stop_condition,
-        )
-        if exhausted:
-            reason = StopReason.PROVIDER_EXHAUSTED
-            break
-    if reason is None:
-        reason = StopReason.SATURATED
+            estimate = estimator(state.embeddings, combined, cfg, as_uint64(cfg.seed ^ iteration))
+            state, step = _advance(state, estimate, combined, batch.size)
+            steps.append(step)
+            log.debug(
+                "iteration %d: n=%d score=%.6g sd=%.6g window=(%.6g, %.6g) streak=%d",
+                iteration, state.embeddings.size, estimate.mean, estimate.stddev,
+                state.range_min, state.range_max, state.stop_condition,
+            )
+            if len(texts) < count:
+                reason = StopReason.PROVIDER_EXHAUSTED
+                break
+    except DivsatError as exc:
+        # The one failure boundary: whatever failed, the work so far is kept.
+        exc.trace_steps = tuple(steps)
+        exc.partial_set = state.embeddings if state is not None else None
+        raise
     return state.embeddings, SaturationTrace(steps=tuple(steps), reason=reason)
 
 
-def _embed(
-    embedder: Embedder,
-    texts: Sequence[str],
-    steps: list[TraceStep],
-    partial: EmbeddingSet | None,
-) -> EmbeddingSet:
-    batch = _guarded(lambda: embedder.embed(texts), EmbedderError, "embedder failed",
-                     steps, partial)
+def _embed(embedder: Embedder, texts: Sequence[str]) -> EmbeddingSet:
+    batch = _call(lambda: embedder.embed(texts), EmbedderError, "embedder failed")
     if batch.size != len(texts):
-        wrapped = EmbedderError(
-            f"embedder returned {batch.size} records for {len(texts)} items"
-        )
-        _fail(wrapped, steps, partial)
+        raise EmbedderError(f"embedder returned {batch.size} records for {len(texts)} items")
     return batch
 
 
@@ -331,20 +302,18 @@ def _write_steps(steps: Sequence[TraceStep], path) -> None:
         raise IoError(str(exc)) from None
 
 
-class _ExternalProvider:
-    def __init__(self, argv: list[str], timeout: float):
-        self._argv = argv
-        self._timeout = timeout
+class _ExternalProvider(External):
+    failure = ProviderError
 
     def next_batch(
         self, count: int, context: Mapping[str, str] | None = None
     ) -> list[str]:
-        argv = [*self._argv, "--count", str(count)]
+        extra = ["--count", str(count)]
         if context and context.get("activity"):
-            argv += ["--activity", context["activity"]]
-        proc = run_command(argv, timeout=self._timeout, failure=ProviderError)
+            extra += ["--activity", context["activity"]]
+        stdout = self._run(*extra)
         texts: list[str] = []
-        for i, obj in json_objects(proc.stdout.splitlines(), ProtocolError, "provider line"):
+        for i, obj in json_objects(stdout.splitlines(), ProtocolError, "provider line"):
             if not isinstance(obj.get("text"), str):
                 raise ProtocolError(f"provider line {i + 1}: \"text\" must be a string")
             texts.append(obj["text"])
@@ -355,21 +324,16 @@ class _ExternalProvider:
         return texts
 
 
-class _ExternalEmbedder:
-    def __init__(self, argv: list[str], timeout: float):
-        self._argv = argv
-        self._timeout = timeout
+class _ExternalEmbedder(External):
+    failure = EmbedderError
 
     def embed(self, items: Sequence[str]) -> EmbeddingSet:
         payload = "\n".join(
             json.dumps({"id": i, "text": text}) for i, text in enumerate(items)
         )
-        proc = run_command(
-            self._argv, input_text=payload + "\n",
-            timeout=self._timeout, failure=EmbedderError,
-        )
+        stdout = self._run(input_text=payload + "\n")
         try:
-            batch = _parse_lines(proc.stdout.splitlines(), source="embedder output",
+            batch = _parse_lines(stdout.splitlines(), source="embedder output",
                                  where="embedder line")
         except (DimensionMismatch, DuplicateId):
             raise
@@ -392,7 +356,7 @@ def external_provider(
     object ``{"text": ...}`` per line; printing fewer than N lines signals
     exhaustion, printing more is a protocol violation.
     """
-    return _ExternalProvider(as_argv(command), timeout)
+    return _ExternalProvider(command, timeout)
 
 
 def external_embedder(
@@ -404,4 +368,4 @@ def external_embedder(
     per line on stdin and must print an equal count of embedding records
     (``{"vector": [...]}``, optional id) on stdout, order preserved.
     """
-    return _ExternalEmbedder(as_argv(command), timeout)
+    return _ExternalEmbedder(command, timeout)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .embedset import EmbeddingSet
-from .errors import EmptySet
+from .errors import EmptySet, NonFiniteValue
 from .rng import make_rng
 
 
@@ -129,12 +129,17 @@ def token_vector(text: str, spec: GaussianSpec, offset: Sequence[float] | None =
 
     Lets a stateless subprocess embed tokens reproducibly; distinct tokens
     get independent draws, identical tokens always get the same vector.
+    A draw that overflows to infinity (a huge sigma, mean or offset) raises
+    NonFiniteValue.
     """
     digest = hashlib.blake2b(
         f"{spec.seed}|{text}".encode("utf-8"), digest_size=8
     ).digest()
     rng = make_rng(int.from_bytes(digest, "big"))
-    value = spec.mean_vector() + spec.sigma * rng.standard_normal(spec.k)
-    if offset is not None:
-        value = value + np.asarray(offset, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = spec.mean_vector() + spec.sigma * rng.standard_normal(spec.k)
+        if offset is not None:
+            value = value + np.asarray(offset, dtype=np.float64)
+    if not np.isfinite(value).all():
+        raise NonFiniteValue(f"the draw for token {text!r} is not finite")
     return value

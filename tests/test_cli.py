@@ -408,6 +408,15 @@ class TestSynthProviderCommand:
         assert json.loads(first)["vector"] == [float(v) for v in base]
         assert json.loads(second)["vector"] == [float(v) for v in shifted]
 
+    def test_embedder_rejects_overflowing_draw(self, run_cli):
+        stdin = "".join(f'{{"text": "tok{i}"}}\n' for i in range(4))
+        code, out, err = run_cli(
+            "synth-provider", "--role", "embedder", "--k", 3, "--sigma", "1e308", stdin=stdin,
+        )
+        assert code == 1
+        assert error_of(err)["code"] == "non_finite_value"
+        assert out == ""
+
     def test_embedder_rejects_malformed_stdin(self, run_cli):
         code, out, err = run_cli(
             "synth-provider", "--role", "embedder", "--k", 2, stdin="not json\n"
@@ -628,6 +637,7 @@ class TestSaturateCommand:
         ("--perc", "0"), ("--perc", "1.5"), ("--reps", "0"), ("--max-iter", "0"),
         ("--early-stop", "-1"), ("--bandwidth", "-1"), ("--bandwidth", "nan"),
         ("--timeout", "0"), ("--timeout", "-1"), ("--timeout", "nan"), ("--timeout", "inf"),
+        ("--timeout", "1e300"), ("--timeout", "2147484"),
     ])
     def test_bad_flag_rejected_before_any_spawn(self, run_cli, tmp_path, stub_script,
                                                 flag, value):
@@ -690,6 +700,49 @@ class TestSaturateCommand:
         trace_rows = [json.loads(l) for l in trace_path.read_text().splitlines()]
         assert [row["iteration"] for row in trace_rows] == [1]
         assert trace_rows[0]["batch_size"] == 1
+
+    def test_dimension_change_keeps_completed_work(self, run_cli, tmp_path, stub_script,
+                                                   write_jsonl):
+        provider = stub_script(
+            """\
+            import argparse, json
+            p = argparse.ArgumentParser()
+            p.add_argument("--count", type=int, required=True)
+            for i in range(p.parse_args().count):
+                print(json.dumps({"text": f"t{i}"}))
+            """
+        )
+        calls = tmp_path / "embed-calls"
+        embedder = stub_script(
+            f"""\
+            import json, pathlib, sys
+            state = pathlib.Path({str(calls)!r})
+            n = int(state.read_text()) + 1 if state.exists() else 1
+            state.write_text(str(n))
+            k = 3 if n == 3 else 2
+            for line in sys.stdin:
+                if line.strip():
+                    obj = json.loads(line)
+                    print(json.dumps({{"id": str(obj["id"]), "vector": [obj["id"] / 3.0] * k}}))
+            """
+        )
+        ids = [f"x{i}" for i in range(20)]
+        init = write_jsonl("init.jsonl", [
+            {"id": rid, "vector": [float(i), -float(i)]} for i, rid in enumerate(ids)
+        ])
+        out_path = tmp_path / "out.jsonl"
+        trace_path = tmp_path / "trace.jsonl"
+        code, stdout, err = run_cli(
+            "saturate", "--init", init, "--provider", quoted(*provider),
+            "--embedder", quoted(*embedder), "--reps", 2, "--early-stop", 50,
+            "--out", out_path, "--trace", trace_path, timeout=300,
+        )
+        assert code == 1
+        assert error_of(err)["code"] == "dimension_mismatch"
+        # batches of ceil(.05 * 20) = 1 and ceil(.05 * 21) = 2; the third is 3-d
+        assert load_set(out_path).ids() == tuple(ids) + ("b1_0", "b2_0", "b2_1")
+        trace_rows = [json.loads(l) for l in trace_path.read_text().splitlines()]
+        assert [row["iteration"] for row in trace_rows] == [1, 2]
 
     def test_bad_init_count_is_usage_error(self, run_cli, tmp_path):
         code, stdout, err = run_cli(
@@ -756,7 +809,7 @@ class TestFilterCommands:
         assert report_of(stdout)["result"]["total"] == 1
         assert json.loads(out.read_text())["id"] == "w0"
 
-    @pytest.mark.parametrize("value", ["0", "inf"])
+    @pytest.mark.parametrize("value", ["0", "inf", "1e300", "2147484"])
     def test_bad_timeout_rejected_before_any_spawn(self, run_cli, write_jsonl, stub_script,
                                                    tmp_path, value):
         captions = self.write_captions(write_jsonl, n=2)
@@ -772,6 +825,17 @@ class TestFilterCommands:
         assert "Traceback" not in err
         assert not marker.exists()
         assert not out.exists()
+
+    def test_largest_timeout_is_accepted(self, run_cli, write_jsonl, stub_script, tmp_path):
+        captions = self.write_captions(write_jsonl, n=2)
+        judge = stub_script('print("1. yes")\nprint("2. no")\n')
+        out = tmp_path / "v.jsonl"
+        code, stdout, err = run_cli(
+            "filter", "run", "--activity", "walking", "--captions", captions,
+            "--judge", quoted(*judge), "--timeout", "2147483", "--out", out, timeout=300,
+        )
+        assert code == 0, err
+        assert report_of(stdout)["result"]["kept"] == 1
 
     def test_failing_judge_is_domain_error(self, run_cli, write_jsonl, stub_script, tmp_path):
         captions = self.write_captions(write_jsonl, n=2)

@@ -1,4 +1,5 @@
-"""scipy stays off the import path: `import divsat` loads numpy only."""
+"""scipy stays off the import path: `import divsat` loads numpy only; and
+every child process is started by the one runner in `_proc.py`."""
 
 import ast
 import subprocess
@@ -96,3 +97,18 @@ def test_no_module_level_scipy_import(path: Path):
     ]
     assert offenders == []
     assert "scipy.spatial" not in path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "divsat").glob("*.py")), ids=lambda p: p.name)
+def test_only_proc_imports_subprocess(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in imported_names(node)
+    ]
+    if path.name == "_proc.py":
+        assert "subprocess" in names
+    else:
+        assert "subprocess" not in names

@@ -7,6 +7,7 @@ from divsat import (
     DimensionMismatch,
     DriftSpec,
     DuplicateId,
+    EmbedderError,
     EmbeddingSet,
     GaussianSpec,
     KernelConfig,
@@ -281,6 +282,57 @@ class TestRunSources:
             run_saturation(initial, src, src, SaturationConfig(seed=0))
         assert ei.value.trace_steps == ()
         assert ei.value.partial_set == initial
+
+    @pytest.mark.parametrize("fault, error, steps, partial_size", [
+        ("provider", ProviderError, 2, 23),
+        ("embedder", EmbedderError, 2, 23),
+        ("miscount", EmbedderError, 2, 23),
+        ("collision", DuplicateId, 2, 23),
+        ("dimension", DimensionMismatch, 2, 23),
+        ("bootstrap", ProviderError, 0, None),
+    ])
+    def test_every_failure_keeps_completed_work(self, fault, error, steps, partial_size):
+        class Faulty:
+            """Stationary source whose third provider or embedder call goes wrong."""
+
+            def __init__(self):
+                self.source = stationary_provider(GaussianSpec(k=2, seed=6))
+                self.calls = 0
+
+            def next_batch(self, count, context=None):
+                if fault == "bootstrap":
+                    return []
+                if fault == "provider" and self.calls == 2:
+                    raise RuntimeError("backend gone")
+                return self.source.next_batch(count, context)
+
+            def embed(self, items):
+                self.calls += 1
+                if self.calls < 3:
+                    return self.source.embed(items)
+                if fault == "embedder":
+                    raise RuntimeError("model unloaded")
+                if fault == "miscount":
+                    return self.source.embed(items[:-1])
+                if fault == "dimension":
+                    return EmbeddingSet.from_array(np.zeros((len(items), 3)))
+                return EmbeddingSet.from_array(np.zeros((len(items), 2)), ids=["taken", "t1"])
+
+        # 20 initial + ceil(.05*20)=1 + ceil(.05*21)=2; iteration 3 fails
+        initial = EmbeddingSet.from_array(
+            gaussian_set(GaussianSpec(k=2, seed=5), 20).vectors,
+            ids=[f"x{i}" for i in range(19)] + ["b3_taken"],
+        )
+        src = Faulty()
+        start = 4 if fault == "bootstrap" else initial
+        with pytest.raises(error) as ei:
+            run_saturation(start, src, src, SaturationConfig(seed=0, early_stop=50))
+        assert len(ei.value.trace_steps) == steps
+        if partial_size is None:
+            assert ei.value.partial_set is None
+        else:
+            assert ei.value.partial_set.size == partial_size
+            assert ei.value.partial_set.ids()[:20] == initial.ids()
 
     def test_drift_takes_longer_sample(self):
         """Spot-check of the drift property at the pinned parameterization."""

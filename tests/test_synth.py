@@ -4,6 +4,7 @@ import pytest
 from divsat import (
     DriftSpec,
     GaussianSpec,
+    NonFiniteValue,
     centroid_diversity,
     drifting_provider,
     gaussian_set,
@@ -132,3 +133,12 @@ class TestTokenVector:
         plain = token_vector("t", spec)
         moved = token_vector("t", spec, offset=(10.0, -3.0))
         assert np.allclose(moved - plain, [10.0, -3.0])
+
+    def test_overflowing_draw_is_rejected(self):
+        # finite specs whose draws overflow: a huge sigma, or mean plus offset
+        with pytest.raises(NonFiniteValue, match="tok3"):
+            token_vector("tok3", GaussianSpec(k=3, sigma=1e308))
+        spec = GaussianSpec(k=2, sigma=1.0, mean=(1.5e308, 0.0))
+        assert np.isfinite(token_vector("t", spec)).all()
+        with pytest.raises(NonFiniteValue):
+            token_vector("t", spec, offset=(1.5e308, 0.0))
