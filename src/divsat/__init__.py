@@ -7,208 +7,93 @@ collections (comparative diversity via Gaussian-kernel MMD), when has a
 generative pipeline stopped adding anything new (saturation detection),
 and did a relevance filter help or hurt (confusion metrics, correlation,
 and diversity impact).
+
+The public names load lazily (PEP 562): ``import divsat`` loads no numpy,
+and the first use of a name imports the submodule that defines it.
 """
 
-from .analysis import (
-    CorrelationReport,
-    CorrelationResult,
-    DiversityImpactReport,
-    PairedSeries,
-    aggregate_r,
-    correlate,
-    correlation_report,
-    diversity_impact,
-    pearson_p,
-    pearson_r,
-)
-from .diversity import (
-    AxisStats,
-    DiversityScore,
-    axis_stats,
-    centroid_diversity,
-    diversity_report,
-    std_diversity,
-)
-from .embedset import (
-    EmbeddingRecord,
-    EmbeddingSet,
-    load_set,
-    parse_record,
-    record_to_json,
-    subset,
-    write_set,
-)
-from .errors import (
-    CountMismatch,
-    DegenerateSeries,
-    DimensionMismatch,
-    DivsatError,
-    DuplicateId,
-    EmbedderError,
-    EmptyInput,
-    EmptySet,
-    EmptyVector,
-    InsufficientSamples,
-    InvalidRepetitions,
-    IoError,
-    JudgeError,
-    LabelMismatch,
-    LengthMismatch,
-    MalformedLine,
-    MissingVerdict,
-    NonFiniteValue,
-    ProtocolError,
-    ProviderError,
-    SizeMismatch,
-    SpawnError,
-    UnknownId,
-    UnknownVerdictId,
-    UnparseableLine,
-    UsageError,
-)
-from .filtergate import (
-    CaptionItem,
-    ConfusionMetrics,
-    FilterPrompt,
-    FilterVerdict,
-    apply_filter,
-    build_filter_prompts,
-    evaluate_filter,
-    external_judge,
-    load_captions,
-    load_truth,
-    load_verdicts,
-    parse_filter_response,
-    run_filter,
-    write_verdicts,
-)
-from .mmd import (
-    MEDIAN_HEURISTIC,
-    KernelConfig,
-    MmdEstimate,
-    gaussian_kernel,
-    median_heuristic,
-    mmd,
-    mmd_calculator,
-    resolve_bandwidth,
-)
-from .saturation import (
-    BatchProvider,
-    Embedder,
-    SaturationConfig,
-    SaturationState,
-    SaturationTrace,
-    StopReason,
-    TraceStep,
-    external_embedder,
-    external_provider,
-    run_saturation,
-    saturation_step,
-    write_trace,
-)
-from .synth import (
-    DriftSpec,
-    GaussianSpec,
-    SyntheticSource,
-    drifting_provider,
-    gaussian_set,
-    stationary_provider,
-    token_vector,
-)
+import importlib
+import sys
+import types
+
 from . import errors
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxisStats",
-    "BatchProvider",
-    "CaptionItem",
-    "ConfusionMetrics",
-    "CorrelationReport",
-    "CorrelationResult",
-    "CountMismatch",
-    "DegenerateSeries",
-    "DimensionMismatch",
-    "DiversityImpactReport",
-    "DiversityScore",
-    "DivsatError",
-    "DriftSpec",
-    "DuplicateId",
-    "EmbedderError",
-    "Embedder",
-    "EmbeddingRecord",
-    "EmbeddingSet",
-    "EmptyInput",
-    "EmptySet",
-    "EmptyVector",
-    "FilterPrompt",
-    "FilterVerdict",
-    "GaussianSpec",
-    "InsufficientSamples",
-    "InvalidRepetitions",
-    "IoError",
-    "JudgeError",
-    "KernelConfig",
-    "LabelMismatch",
-    "LengthMismatch",
-    "MEDIAN_HEURISTIC",
-    "MalformedLine",
-    "MissingVerdict",
-    "MmdEstimate",
-    "NonFiniteValue",
-    "PairedSeries",
-    "ProtocolError",
-    "ProviderError",
-    "SaturationConfig",
-    "SaturationState",
-    "SaturationTrace",
-    "SizeMismatch",
-    "SpawnError",
-    "StopReason",
-    "SyntheticSource",
-    "TraceStep",
-    "UnknownId",
-    "UnknownVerdictId",
-    "UnparseableLine",
-    "UsageError",
-    "aggregate_r",
-    "apply_filter",
-    "axis_stats",
-    "build_filter_prompts",
-    "centroid_diversity",
-    "correlate",
-    "correlation_report",
-    "diversity_impact",
-    "diversity_report",
-    "drifting_provider",
-    "errors",
-    "evaluate_filter",
-    "external_embedder",
-    "external_judge",
-    "external_provider",
-    "gaussian_kernel",
-    "gaussian_set",
-    "load_captions",
-    "load_set",
-    "load_truth",
-    "load_verdicts",
-    "median_heuristic",
-    "mmd",
-    "mmd_calculator",
-    "parse_filter_response",
-    "parse_record",
-    "pearson_p",
-    "pearson_r",
-    "record_to_json",
-    "resolve_bandwidth",
-    "run_filter",
-    "run_saturation",
-    "saturation_step",
-    "stationary_provider",
-    "std_diversity",
-    "subset",
-    "token_vector",
-    "write_set",
-    "write_trace",
-    "write_verdicts",
-]
+# public name -> the submodule that defines it
+_SUBMODULE = {
+    name: module
+    for module, names in {
+        "analysis": (
+            "CorrelationReport", "CorrelationResult", "DiversityImpactReport",
+            "PairedSeries", "aggregate_r", "correlate", "correlation_report",
+            "diversity_impact", "pearson_p", "pearson_r",
+        ),
+        "diversity": (
+            "AxisStats", "DiversityScore", "axis_stats", "centroid_diversity",
+            "diversity_report", "std_diversity",
+        ),
+        "embedset": (
+            "EmbeddingRecord", "EmbeddingSet", "load_set", "parse_record",
+            "record_to_json", "subset", "write_set",
+        ),
+        "errors": (
+            "CountMismatch", "DegenerateSeries", "DimensionMismatch", "DivsatError",
+            "DuplicateId", "EmbedderError", "EmptyInput", "EmptySet", "EmptyVector",
+            "InsufficientSamples", "InvalidRepetitions", "IoError", "JudgeError",
+            "LabelMismatch", "LengthMismatch", "MalformedLine", "MissingVerdict",
+            "NonFiniteValue", "ProtocolError", "ProviderError", "SizeMismatch",
+            "SpawnError", "UnknownId", "UnknownVerdictId", "UnparseableLine",
+            "UsageError",
+        ),
+        "filtergate": (
+            "CaptionItem", "ConfusionMetrics", "FilterPrompt", "FilterVerdict",
+            "apply_filter", "build_filter_prompts", "evaluate_filter", "external_judge",
+            "load_captions", "load_truth", "load_verdicts", "parse_filter_response",
+            "run_filter", "write_verdicts",
+        ),
+        "mmd": (
+            "MEDIAN_HEURISTIC", "KernelConfig", "MmdEstimate", "gaussian_kernel",
+            "median_heuristic", "mmd", "mmd_calculator", "resolve_bandwidth",
+        ),
+        "saturation": (
+            "BatchProvider", "Embedder", "SaturationConfig", "SaturationState",
+            "SaturationTrace", "StopReason", "TraceStep", "external_embedder",
+            "external_provider", "run_saturation", "saturation_step", "write_trace",
+        ),
+        "synth": (
+            "DriftSpec", "GaussianSpec", "SyntheticSource", "drifting_provider",
+            "gaussian_set", "stationary_provider", "token_vector",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted([*_SUBMODULE, "errors"])
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # The import system binds a submodule on its package when it first
+        # loads it. ``mmd`` names both a submodule and the public function
+        # in it; whatever loads the submodule first, the name stays the
+        # function, which __getattr__ resolves.
+        if isinstance(value, types.ModuleType) and _SUBMODULE.get(name) == name:
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -6,21 +6,41 @@ from __future__ import annotations
 import json
 import shlex
 import subprocess
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DivsatError, IoError, SpawnError
 
 
-def read_lines(path) -> list[str]:
+def split_lines(text: str) -> list[str]:
+    """Split JSON Lines text on "\\n" alone, dropping the empty tail after a final one.
+
+    ``str.splitlines()`` also splits on U+2028, U+2029 and U+0085, which JSON
+    allows raw inside strings. A CR before the newline stays on its line,
+    where JSON reads it as whitespace.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def read_lines(path) -> Iterator[str]:
+    """Yield a UTF-8 file's lines one at a time, without their "\\n".
+
+    Text mode reads "\\r\\n" and a lone "\\r" as "\\n" and splits on nothing
+    else, so these are the lines ``split_lines`` gives for the file's text;
+    only one of them is held at a time.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            for line in fh:
+                yield line[:-1] if line.endswith("\n") else line
     except OSError as exc:
         raise IoError(str(exc)) from None
 
 
 def json_objects(
-    lines: Sequence[str], failure: type[DivsatError], where: str = "line", start: int = 0
+    lines: Iterable[str], failure: type[DivsatError], where: str = "line", start: int = 0
 ) -> Iterator[tuple[int, dict]]:
     """Yield (index, object) for each non-blank line, which must hold a JSON object.
 
@@ -50,7 +70,13 @@ class External:
     failure: type[DivsatError] = DivsatError
 
     def __init__(self, command: Sequence[str] | str, timeout: float = 300.0):
-        self._argv = shlex.split(command) if isinstance(command, str) else list(command)
+        """A command string is split like a shell would; an empty one raises SpawnError."""
+        try:
+            self._argv = shlex.split(command) if isinstance(command, str) else list(command)
+        except ValueError as exc:
+            raise SpawnError(f"cannot parse command {command!r}: {exc}") from None
+        if not self._argv:
+            raise SpawnError("the command is empty")
         self._timeout = timeout
 
     def _run(self, *extra_args: str, input_text: str | None = None) -> str:

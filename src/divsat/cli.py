@@ -12,50 +12,32 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .analysis import (
-    aggregate_r,
-    correlation_report,
-    diversity_impact,
-)
-from .diversity import DiversityScore, diversity_report
-from .embedset import EmbeddingSet, load_set, write_set
 from .errors import (
     DivsatError,
     IoError,
     MalformedLine,
     SizeMismatch,
+    SpawnError,
     UsageError,
 )
-from .filtergate import (
-    evaluate_filter,
-    external_judge,
-    load_captions,
-    load_truth,
-    load_verdicts,
-    run_filter,
-    write_verdicts,
-)
-from ._proc import json_objects
-from .mmd import KernelConfig, MmdEstimate, mmd_calculator
-from .saturation import (
-    SaturationConfig,
-    _write_steps,
-    external_embedder,
-    external_provider,
-    run_saturation,
-    write_trace,
-)
-from .synth import GaussianSpec, gaussian_set, token_vector
+
+if TYPE_CHECKING:
+    from .diversity import DiversityScore
+    from .embedset import EmbeddingSet
+    from .mmd import KernelConfig, MmdEstimate
+    from .synth import GaussianSpec
+
+# Each handler imports the divsat modules it runs, so a process pays only
+# for its subcommand: --version, usage errors, filter run and eval and the
+# synth-provider provider role start without numpy.
 
 
 @dataclass
@@ -231,6 +213,8 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _kernel_from_args(args: argparse.Namespace) -> KernelConfig:
+    from .mmd import KernelConfig
+
     if getattr(args, "bandwidth", None) is not None:
         try:
             return KernelConfig(bandwidth=args.bandwidth)
@@ -256,6 +240,8 @@ def _parse_vector(raw: str | None, k: int, flag: str) -> list[float] | None:
 
 
 def _gaussian_spec(args: argparse.Namespace, mean: list[float] | None, seed: int) -> GaussianSpec:
+    from .synth import GaussianSpec
+
     try:
         return GaussianSpec(k=args.k, sigma=args.sigma, mean=mean, seed=seed)
     except ValueError as exc:
@@ -289,10 +275,16 @@ def _estimate_dict(est: MmdEstimate, normalized: bool) -> dict:
 
 
 def cmd_diversity(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+    from .diversity import diversity_report
+    from .embedset import load_set
+
     return _score_dict(diversity_report(load_set(args.set)))
 
 
 def cmd_mmd(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+    from .embedset import load_set
+    from .mmd import mmd_calculator
+
     kernel = _kernel_from_args(args)
     x = load_set(args.x)
     y = load_set(args.y)
@@ -319,7 +311,25 @@ _SATURATE_FLAGS = {
 }
 
 
+def _external(factory, command: str, flag: str, timeout: float):
+    """Wrap the command given to ``flag``; one that cannot be run at all is a usage error."""
+    try:
+        return factory(command, timeout=timeout)
+    except SpawnError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
 def cmd_saturate(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+    from .embedset import load_set, write_set
+    from .saturation import (
+        SaturationConfig,
+        _write_steps,
+        external_embedder,
+        external_provider,
+        run_saturation,
+        write_trace,
+    )
+
     if args.init_count is not None and args.init_count < 1:
         raise UsageError("--init-count must be >= 1")
     if args.baseline < 1:
@@ -338,8 +348,8 @@ def cmd_saturate(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
     except ValueError as exc:
         field = str(exc).split()[0]
         raise UsageError(f"{_SATURATE_FLAGS.get(field, field)}: {exc}") from None
-    provider = external_provider(args.provider, timeout=cfg.timeout)
-    embedder = external_embedder(args.embedder, timeout=cfg.timeout)
+    provider = _external(external_provider, args.provider, "--provider", cfg.timeout)
+    embedder = _external(external_embedder, args.embedder, "--embedder", cfg.timeout)
     if args.init is not None:
         initial: EmbeddingSet | int = load_set(args.init)
         initial_size = initial.size
@@ -375,6 +385,9 @@ def cmd_saturate(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
 
 
 def cmd_synth(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+    from .embedset import write_set
+    from .synth import gaussian_set
+
     if args.k < 1:
         raise UsageError("--k must be >= 1")
     if args.n < 1:
@@ -428,12 +441,15 @@ def cmd_synth_provider(args: argparse.Namespace, cfg: GlobalConfig) -> RawOutput
         return RawOutput("\n".join(lines) + ("\n" if lines else ""))
     # embedder role: one call embeds one batch; the persisted counter says
     # how many batches came before, which positions the drifting mean
+    from ._proc import json_objects, split_lines
+    from .synth import token_vector
+
     calls_before = _bump_state(args.state, 1)
     offset = None
     if drift is not None:
-        offset = np.asarray(drift) * float(calls_before)
+        offset = [v * float(calls_before) for v in drift]
     out_lines = []
-    for i, obj in json_objects(sys.stdin.read().splitlines(), MalformedLine, "stdin line"):
+    for i, obj in json_objects(split_lines(sys.stdin.read()), MalformedLine, "stdin line"):
         if "text" not in obj:
             raise MalformedLine(f"stdin line {i + 1}: expected an object with \"text\"")
         vec = token_vector(str(obj["text"]), spec, offset=offset)
@@ -445,10 +461,12 @@ def cmd_synth_provider(args: argparse.Namespace, cfg: GlobalConfig) -> RawOutput
 
 
 def cmd_filter_run(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+    from .filtergate import external_judge, load_captions, run_filter, write_verdicts
+
     if args.retries < 0:
         raise UsageError("--retries must be >= 0")
+    judge = _external(external_judge, args.judge, "--judge", cfg.timeout)
     items = [c for c in load_captions(args.captions) if c.activity == args.activity]
-    judge = external_judge(args.judge, timeout=cfg.timeout)
     verdicts = run_filter(args.activity, items, judge, retries=args.retries)
     write_verdicts(verdicts, args.out)
     kept = sum(1 for v in verdicts if v.keep)
@@ -462,6 +480,8 @@ def cmd_filter_run(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
 
 
 def cmd_filter_eval(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+    from .filtergate import evaluate_filter, load_truth, load_verdicts
+
     metrics = evaluate_filter(load_verdicts(args.verdicts), load_truth(args.truth))
 
     def pct(value: float | None) -> float | None:
@@ -520,6 +540,8 @@ def _result_dict(report) -> dict:
 
 
 def cmd_correlate(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+    from .analysis import aggregate_r, correlation_report
+
     series = {
         "text": _load_series_file(args.text),
         "motion": _load_series_file(args.motion),
@@ -549,6 +571,9 @@ def cmd_correlate(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
 
 
 def cmd_impact(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+    from .analysis import diversity_impact
+    from .embedset import load_set
+
     report = diversity_impact(load_set(args.before), load_set(args.after))
     return {
         "before": _score_dict(report.before),
@@ -613,6 +638,8 @@ def dispatch(argv: list[str] | None = None) -> int:
         if getattr(args, "json", False):
             cfg.fmt = "json"
         if cfg.verbose:
+            import logging
+
             logging.basicConfig(
                 stream=sys.stderr,
                 level=logging.DEBUG if cfg.verbose > 1 else logging.INFO,

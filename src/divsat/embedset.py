@@ -17,6 +17,7 @@ write/load cycle reproduces vectors bit for bit.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -229,13 +230,16 @@ def parse_record(line: str, line_index: int = 0) -> EmbeddingRecord:
 
 
 def _parse_lines(
-    lines: Sequence[str], source: str, where: str = "line", start: int = 0
+    lines: Iterable[str], source: str, where: str = "line", start: int = 0
 ) -> EmbeddingSet:
-    # Rows go straight into one preallocated matrix; the set constructor then
-    # validates the columns. Errors cite ``{where} N`` as json_objects does,
-    # and an input with no records names ``source``.
+    # Lines are read one at a time and each vector is appended to one flat
+    # float64 buffer, which becomes the (n, k) matrix without a copy, so no
+    # list of lines is held. The set constructor then validates the
+    # columns. Errors cite ``{where} N`` as json_objects does, and an input
+    # with no records names ``source``.
     rows: list[tuple] = []  # (id, label, meta, line number)
-    mat: np.ndarray | None = None
+    values = array("d")
+    k = 0
     for i, obj in json_objects(lines, MalformedLine, where, start):
         raw = obj.get("vector")
         try:
@@ -246,13 +250,11 @@ def _parse_lines(
             # JSON numbers decode to exactly int or float; bool, None and str do not
             if not _NUMBER_TYPES.issuperset(map(type, raw)):
                 raise MalformedLine("vector entries must be numbers")
-            if mat is None:
-                mat = np.empty((len(lines), len(raw)))
-            elif len(raw) != mat.shape[1]:
-                raise DimensionMismatch(
-                    f"vector has dimension {len(raw)}, expected {mat.shape[1]}"
-                )
-            mat[len(rows)] = raw
+            if not k:
+                k = len(raw)
+            elif len(raw) != k:
+                raise DimensionMismatch(f"vector has dimension {len(raw)}, expected {k}")
+            values.extend(raw)
         except OverflowError:
             raise NonFiniteValue(f"{where} {i + 1}: vector entry overflows to infinity") from None
         except DivsatError as exc:
@@ -260,11 +262,11 @@ def _parse_lines(
         record_id = obj.get("id")
         record_id = str(i) if record_id is None else record_id
         rows.append((record_id, obj.get("label"), obj.get("meta"), i + 1))
-    if mat is None:
+    if not rows:
         raise EmptySet(f"{source}: no records")
     ids, labels, metas, numbers = zip(*rows)
     return EmbeddingSet._from_columns(
-        ids, mat if len(rows) == len(mat) else mat[:len(rows)].copy(), labels, metas,
+        ids, np.frombuffer(values).reshape(len(rows), k), labels, metas,
         row_name=lambda pos: f"{where} {numbers[pos]}",
     )
 

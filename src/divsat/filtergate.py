@@ -13,9 +13,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass
-from typing import Mapping, Protocol, Sequence, Union, overload
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, overload
 
-from .embedset import EmbeddingSet, subset
 from .errors import (
     CountMismatch,
     DuplicateId,
@@ -30,6 +29,9 @@ from .errors import (
     UnparseableLine,
 )
 from ._proc import External, json_objects, read_lines
+
+if TYPE_CHECKING:
+    from .embedset import EmbeddingSet
 
 PROMPT_BATCH_SIZE = 10
 
@@ -191,6 +193,9 @@ def apply_filter(items, verdicts):
     an embedding set, so rejecting every record raises EmptySet (empty sets
     are construction errors and any downstream metric would be meaningless).
     """
+    # imported here: judging and scoring captions need no numpy
+    from .embedset import EmbeddingSet, subset
+
     mapping = _verdict_map(verdicts)
     if isinstance(items, EmbeddingSet):
         item_ids = list(items.ids())

@@ -30,7 +30,7 @@ from .errors import (
     ProviderError,
 )
 from .mmd import KernelConfig, MmdEstimate, mmd_calculator
-from ._proc import External, json_objects
+from ._proc import External, json_objects, split_lines
 from .rng import as_uint64
 
 log = logging.getLogger(__name__)
@@ -313,7 +313,7 @@ class _ExternalProvider(External):
             extra += ["--activity", context["activity"]]
         stdout = self._run(*extra)
         texts: list[str] = []
-        for i, obj in json_objects(stdout.splitlines(), ProtocolError, "provider line"):
+        for i, obj in json_objects(split_lines(stdout), ProtocolError, "provider line"):
             if not isinstance(obj.get("text"), str):
                 raise ProtocolError(f"provider line {i + 1}: \"text\" must be a string")
             texts.append(obj["text"])
@@ -333,7 +333,7 @@ class _ExternalEmbedder(External):
         )
         stdout = self._run(input_text=payload + "\n")
         try:
-            batch = _parse_lines(stdout.splitlines(), source="embedder output",
+            batch = _parse_lines(split_lines(stdout), source="embedder output",
                                  where="embedder line")
         except (DimensionMismatch, DuplicateId):
             raise

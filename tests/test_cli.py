@@ -395,6 +395,20 @@ class TestSynthProviderCommand:
         assert rows[0]["vector"] == [float(v) for v in token_vector("alpha", spec)]
         assert rows[1]["vector"] == [float(v) for v in token_vector("beta", spec)]
 
+    def test_embedder_stdin_with_unicode_line_separators(self, run_cli):
+        texts = ["a\u2028b", "c\u2029d", "e\u0085f"]
+        stdin = "".join(json.dumps({"id": i, "text": t}, ensure_ascii=False) + "\r\n"
+                        for i, t in enumerate(texts))
+        code, out, err = run_cli(
+            "synth-provider", "--role", "embedder", "--k", 2, "--seed", 4, stdin=stdin,
+        )
+        assert code == 0, err
+        spec = GaussianSpec(k=2, seed=4)
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"id": str(i), "vector": [float(v) for v in token_vector(t, spec)]}
+            for i, t in enumerate(texts)
+        ]
+
     def test_embedder_drift_offsets_later_calls(self, run_cli, tmp_path):
         state = tmp_path / "state"
         args = ("synth-provider", "--role", "embedder", "--k", 2, "--sigma", 0.1,
@@ -660,6 +674,25 @@ class TestSaturateCommand:
         assert not marker.exists()
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("flag", ["--provider", "--embedder"])
+    @pytest.mark.parametrize("value", ["", "  "])
+    def test_empty_command_rejected_before_anything_runs(self, run_cli, tmp_path, stub_script,
+                                                         flag, value):
+        marker = tmp_path / "child-ran"
+        child = quoted(*stub_script(f"import pathlib; pathlib.Path({str(marker)!r}).write_text('ran')"))
+        commands = {"--provider": child, "--embedder": child, flag: value}
+        out_path = tmp_path / "x.jsonl"
+        code, stdout, err = run_cli(
+            "saturate", "--init", tmp_path / "absent.jsonl",
+            "--provider", commands["--provider"], "--embedder", commands["--embedder"],
+            "--out", out_path,
+        )
+        assert code == 2
+        assert flag in err and "empty" in err
+        assert "Traceback" not in err
+        assert not marker.exists()
+        assert not out_path.exists()
+
     def test_batch_id_collision_keeps_completed_work(self, run_cli, tmp_path, stub_script,
                                                      write_jsonl):
         provider = stub_script(
@@ -824,6 +857,18 @@ class TestFilterCommands:
         assert "--timeout" in err
         assert "Traceback" not in err
         assert not marker.exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["", "  "])
+    def test_empty_judge_rejected_before_anything_runs(self, run_cli, tmp_path, value):
+        out = tmp_path / "v.jsonl"
+        code, stdout, err = run_cli(
+            "filter", "run", "--activity", "walking", "--captions", tmp_path / "absent.jsonl",
+            "--judge", value, "--out", out,
+        )
+        assert code == 2
+        assert "--judge" in err and "empty" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_largest_timeout_is_accepted(self, run_cli, write_jsonl, stub_script, tmp_path):

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,14 +111,55 @@ vectors = hnp.arrays(
 )
 
 
+# Entries on a 2**-30 grid and shifts on a 2**-10 grid, both well inside
+# 53 bits, so ``arr + shift`` is an exact translation. With arbitrary floats
+# the sum itself rounds: shifting a column of [0, 1e-9, 1e-9] by 1.0 moves
+# its spread by ~1e-7 relative, which no implementation can hide.
+grid_vectors = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(2, 12), st.integers(1, 5)),
+    elements=st.integers(-50 * 2**30, 50 * 2**30).map(lambda i: i * 2.0**-30),
+)
+grid_shifts = st.integers(-20 * 2**10, 20 * 2**10).map(lambda i: i * 2.0**-10)
+
+
+def exact_metrics(arr):
+    """(std_diversity, centroid_diversity) of ``arr``'s exact float values, to 40 digits."""
+    rows = [[Fraction(float(v)) for v in row] for row in arr]
+    n = len(rows)
+    means = [sum(col) / n for col in zip(*rows)]
+    variances = [sum((v - m) ** 2 for v in col) / n for col, m in zip(zip(*rows), means)]
+    with mpmath.workdps(40):
+        sigmas = [mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator) for var in variances]
+        std = mpmath.exp(mpmath.fsum(mpmath.log(x) for x in sigmas) / len(sigmas))
+        return float(std), float(sum(variances))
+
+
 class TestProperties:
     @settings(max_examples=60, deadline=None)
-    @given(vectors, st.floats(-20, 20, allow_nan=False))
+    @given(grid_vectors, grid_shifts)
     def test_translation_invariance(self, arr, shift):
         s = as_set(arr)
         t = as_set(arr + shift)
+        assert np.array_equal(t.vectors - shift, arr)
         assert std_diversity(t) == pytest.approx(std_diversity(s), rel=1e-9, abs=1e-9)
         assert centroid_diversity(t) == pytest.approx(centroid_diversity(s), rel=1e-9, abs=1e-9)
+
+    def test_rounded_translation_matches_exact_oracle(self):
+        # A stored falsifying example of the float-grid version of the test
+        # above: the shift rounds the last column's entries, so the exact
+        # metrics of the two sets differ; each set still matches its own.
+        arr = np.array([
+            [0.0, 2.0, 16.0, 28.0, 1e-9],
+            [1e-9, 1e-9, 1e-9, 1e-9, 1e-9],
+            [1e-9, 1e-9, 1e-9, 1e-9, 39.0],
+        ])
+        shifted = arr + 1.0
+        for values in (arr, shifted):
+            std, centroid = exact_metrics(values)
+            assert std_diversity(as_set(values)) == pytest.approx(std, rel=1e-12)
+            assert centroid_diversity(as_set(values)) == pytest.approx(centroid, rel=1e-12)
+        assert exact_metrics(shifted)[0] != pytest.approx(exact_metrics(arr)[0], rel=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(vectors, st.floats(-8, 8, allow_nan=False).filter(lambda c: abs(c) > 1e-3))

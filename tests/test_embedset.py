@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,53 @@ class TestIo:
         write_set(s, path)
         back = load_set(path)
         assert back == s
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+    def test_round_trip_with_unicode_line_separators(self, tmp_path, char):
+        # write_set leaves these raw (ensure_ascii=False) and JSON allows them
+        # inside strings, so only "\n" may end a line
+        s = EmbeddingSet(
+            [
+                EmbeddingRecord(id=f"a{char}b", vector=np.array([0.5, 1.0]),
+                                label=f"x{char}", meta={f"k{char}": f"{char}v"}),
+                EmbeddingRecord(id="c", vector=np.array([2.0, -1.0]), label=char),
+            ]
+        )
+        path = tmp_path / "s.jsonl"
+        write_set(s, path)
+        assert char in path.read_text(encoding="utf-8")
+        assert load_set(path) == s
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_bytes(b'{"id": "a", "vector": [1, 2]}\r\n\r\n{"vector": [3, 4]}\r\n')
+        back = load_set(path)
+        assert back.ids() == ("a", "2")
+        assert back.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_lone_cr_ends_a_line(self, tmp_path):
+        # text mode reads a lone "\r" as "\n", as it always has for set files
+        path = tmp_path / "s.jsonl"
+        path.write_bytes(b'{"id": "a", "vector": [1, 2]}\r{"vector": [3, 4]}')
+        back = load_set(path)
+        assert back.ids() == ("a", "1")
+        assert back.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_load_holds_one_line_at_a_time(self, tmp_path):
+        # the file's text, or a list of its lines, alone takes the file's size;
+        # reading a line at a time peaks at about the loaded columns (0.6 of it)
+        rng = np.random.default_rng(0)
+        original = EmbeddingSet.from_array(rng.standard_normal((2000, 64)))
+        path = tmp_path / "s.jsonl"
+        write_set(original, path)
+        tracemalloc.start()
+        try:
+            back = load_set(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back == original
+        assert peak < path.stat().st_size
 
     def test_blank_lines_skipped_but_numbering_physical(self, tmp_path):
         path = tmp_path / "s.jsonl"

@@ -1,7 +1,10 @@
-"""scipy stays off the import path: `import divsat` loads numpy only; and
-every child process is started by the one runner in `_proc.py`."""
+"""Start-up stays lean: `import divsat` loads neither numpy nor scipy, each
+CLI process imports only what its subcommand runs, scipy stays off every
+path but `pearson_p`, and every child process is started by the one runner
+in `_proc.py`."""
 
 import ast
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import divsat
 from conftest import SRC, _child_env
 
 
@@ -32,8 +36,100 @@ def scipy_modules(names):
 
 def test_import_divsat_loads_no_scipy():
     _, names = imported_modules("-c", "import divsat")
-    assert "divsat" in names and "numpy" in names
+    assert "divsat" in names
+    assert "numpy" not in names
     assert scipy_modules(names) == []
+
+
+def test_first_numeric_name_loads_numpy_not_scipy():
+    _, names = imported_modules("-c", "from divsat import mmd_calculator")
+    assert "numpy" in names
+    assert scipy_modules(names) == []
+
+
+@pytest.fixture
+def lean_commands(tmp_path, write_jsonl, stub_script):
+    verdicts = write_jsonl("verdicts.jsonl", [{"id": "a", "keep": True}, {"id": "b", "keep": False}])
+    truth = write_jsonl("truth.jsonl", [{"id": "a", "relevant": True}, {"id": "b", "relevant": True}])
+    captions = write_jsonl("captions.jsonl", [
+        {"id": "a", "caption": "a person walks", "activity": "walking"},
+        {"id": "b", "caption": "a person strolls", "activity": "walking"},
+    ])
+    judge = shlex.join(stub_script('print("1. yes")\nprint("2. no")\n'))
+    return {
+        "version": ["--version"],
+        "filter eval": ["filter", "eval", "--verdicts", str(verdicts), "--truth", str(truth)],
+        "filter run": ["filter", "run", "--activity", "walking", "--captions", str(captions),
+                       "--judge", judge, "--out", str(tmp_path / "out.jsonl")],
+        "provider": ["synth-provider", "--role", "provider", "--k", "4", "--count", "3"],
+    }
+
+
+@pytest.mark.parametrize("command", ["version", "filter eval", "filter run", "provider"])
+def test_lean_commands_load_no_numpy(lean_commands, command):
+    proc, names = imported_modules("-m", "divsat", *lean_commands[command])
+    assert proc.stdout
+    assert "divsat.cli" in names
+    assert "numpy" not in names
+
+
+def test_mmd_stays_the_function_whatever_loads_the_submodule():
+    for script in (
+        "import divsat.saturation, divsat; f = divsat.mmd",
+        "import divsat.mmd; from divsat import mmd as f",
+        "from divsat import mmd_calculator, mmd as f; import divsat.saturation",
+        "import divsat; f = divsat.mmd; import divsat.mmd; f = divsat.mmd",
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{script}; import types; "
+             "assert isinstance(f, types.FunctionType) and f.__name__ == 'mmd', f"],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+        )
+        assert proc.returncode == 0, (script, proc.stderr)
+
+
+# the public names as they were when every submodule loaded eagerly
+PUBLIC_NAMES = """
+    AxisStats BatchProvider CaptionItem ConfusionMetrics CorrelationReport
+    CorrelationResult CountMismatch DegenerateSeries DimensionMismatch
+    DiversityImpactReport DiversityScore DivsatError DriftSpec DuplicateId
+    EmbedderError Embedder EmbeddingRecord EmbeddingSet EmptyInput EmptySet
+    EmptyVector FilterPrompt FilterVerdict GaussianSpec InsufficientSamples
+    InvalidRepetitions IoError JudgeError KernelConfig LabelMismatch
+    LengthMismatch MEDIAN_HEURISTIC MalformedLine MissingVerdict MmdEstimate
+    NonFiniteValue PairedSeries ProtocolError ProviderError SaturationConfig
+    SaturationState SaturationTrace SizeMismatch SpawnError StopReason
+    SyntheticSource TraceStep UnknownId UnknownVerdictId UnparseableLine
+    UsageError aggregate_r apply_filter axis_stats build_filter_prompts
+    centroid_diversity correlate correlation_report diversity_impact
+    diversity_report drifting_provider errors evaluate_filter external_embedder
+    external_judge external_provider gaussian_kernel gaussian_set load_captions
+    load_set load_truth load_verdicts median_heuristic mmd mmd_calculator
+    parse_filter_response parse_record pearson_p pearson_r record_to_json
+    resolve_bandwidth run_filter run_saturation saturation_step
+    stationary_provider std_diversity subset token_vector write_set write_trace
+    write_verdicts
+""".split()
+
+
+def test_public_names_unchanged():
+    assert len(divsat.__all__) == len(set(divsat.__all__))
+    assert sorted(divsat.__all__) == sorted(PUBLIC_NAMES)
+    assert set(divsat.__all__) <= set(dir(divsat))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from divsat import *", namespace)
+    for name in divsat.__all__:
+        assert namespace[name] is getattr(divsat, name)
+    assert namespace["errors"] is divsat.errors
+    assert callable(namespace["mmd"])
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        divsat.no_such_name
 
 
 def test_synth_provider_loads_no_scipy():
@@ -69,11 +165,15 @@ def test_correlate_p_values_unchanged():
 
 
 def module_level_imports(tree):
-    """Import statements that run when the module is imported (not inside a def)."""
+    """Import statements that run when the module is imported: not inside a
+    def, and not under ``if TYPE_CHECKING:``, which only type checkers run."""
     pending = list(tree.body)
     while pending:
         node = pending.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            pending.extend(node.orelse)
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             yield node
@@ -84,6 +184,41 @@ def imported_names(node):
     if isinstance(node, ast.ImportFrom):
         return [node.module or ""]
     return [alias.name for alias in node.names]
+
+
+def module_level_targets(path: Path):
+    """What a divsat module imports at module level: top-level package names
+    ("numpy"), and sibling submodules by bare name ("embedset")."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in module_level_imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield from [node.module] if node.module else [a.name for a in node.names]
+        else:
+            yield from (name.split(".")[0] for name in imported_names(node))
+
+
+def numpy_backed_modules():
+    """divsat submodules whose import loads numpy, directly or through a sibling."""
+    targets = {p.stem: set(module_level_targets(p)) for p in (SRC / "divsat").glob("*.py")}
+    backed = {name for name, deps in targets.items() if "numpy" in deps}
+    while True:
+        more = {name for name, deps in targets.items() if deps & backed} - backed
+        if not more:
+            return backed
+        backed |= more
+
+
+def test_numpy_backed_modules_are_found():
+    assert {"embedset", "mmd", "rng", "saturation"} <= numpy_backed_modules()
+    assert not {"errors", "_proc", "cli", "filtergate", "synth"} & numpy_backed_modules()
+
+
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py", "errors.py", "_proc.py"])
+def test_lean_modules_import_no_numpy_at_module_level(name):
+    offenders = set(module_level_targets(SRC / "divsat" / name)) & (
+        numpy_backed_modules() | {"numpy"}
+    )
+    assert offenders == set()
 
 
 @pytest.mark.parametrize("path", sorted((SRC / "divsat").glob("*.py")), ids=lambda p: p.name)

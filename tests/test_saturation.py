@@ -16,9 +16,11 @@ from divsat import (
     ProviderError,
     SaturationConfig,
     SaturationState,
+    SpawnError,
     StopReason,
     drifting_provider,
     external_embedder,
+    external_judge,
     external_provider,
     gaussian_set,
     run_saturation,
@@ -406,6 +408,24 @@ class TestExternal:
         )
         with pytest.raises(ProtocolError):
             external_provider(argv).next_batch(3)
+
+    def test_stub_provider_text_with_unicode_line_separators(self, stub_script):
+        argv = stub_script(
+            """
+            import json, sys
+            for text in ["caption\\u20280", "caption\\u20291", "caption\\u00852"]:
+                line = json.dumps({"text": text}, ensure_ascii=False) + "\\n"
+                sys.stdout.buffer.write(line.encode("utf-8"))
+            """
+        )
+        got = external_provider(argv).next_batch(3)
+        assert got == ["caption\u20280", "caption\u20291", "caption\u00852"]
+
+    @pytest.mark.parametrize("command", ["", "   ", [], "'unclosed"])
+    def test_command_that_cannot_be_run_is_spawn_error(self, command):
+        for wrap in (external_provider, external_embedder, external_judge):
+            with pytest.raises(SpawnError):
+                wrap(command)
 
     def test_stub_provider_malformed_line(self, stub_script):
         argv = stub_script('print("not json")\n')
