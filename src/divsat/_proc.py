@@ -8,7 +8,7 @@ import shlex
 import subprocess
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DivsatError, IoError, SpawnError
+from .errors import DivsatError, IoError, MalformedLine, ProtocolError, SpawnError
 
 
 def split_lines(text: str) -> list[str]:
@@ -29,12 +29,26 @@ def read_lines(path) -> Iterator[str]:
 
     Text mode reads "\\r\\n" and a lone "\\r" as "\\n" and splits on nothing
     else, so these are the lines ``split_lines`` gives for the file's text;
-    only one of them is held at a time.
+    only one of them is held at a time. Bytes that are not UTF-8 raise
+    MalformedLine naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 yield line[:-1] if line.endswith("\n") else line
+    except OSError as exc:
+        raise IoError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write each line and a "\\n" to a UTF-8 file; the mirror of ``read_lines``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
     except OSError as exc:
         raise IoError(str(exc)) from None
 
@@ -64,7 +78,8 @@ class External:
 
     Subclasses name their role's error as ``failure``. A non-zero exit
     raises it with the last five stderr lines, a timeout raises it too, and
-    a command that cannot launch raises SpawnError.
+    a command that cannot launch raises SpawnError. The contracts speak
+    UTF-8: output that is not raises ProtocolError.
     """
 
     failure: type[DivsatError] = DivsatError
@@ -82,15 +97,20 @@ class External:
     def _run(self, *extra_args: str, input_text: str | None = None) -> str:
         """Run the command with ``extra_args`` appended; return its stdout."""
         argv = [*self._argv, *extra_args]
+        payload = None if input_text is None else input_text.encode("utf-8")
         try:
-            proc = subprocess.run(argv, input=input_text, capture_output=True, text=True,
-                                  timeout=self._timeout)
+            proc = subprocess.run(argv, input=payload, capture_output=True, timeout=self._timeout)
         except (FileNotFoundError, PermissionError) as exc:
             raise SpawnError(f"cannot launch {argv[0]!r}: {exc}") from None
         except subprocess.TimeoutExpired:
             raise self.failure(f"{argv[0]!r} timed out after {self._timeout}s") from None
         if proc.returncode != 0:
-            tail = (proc.stderr or "").strip().splitlines()[-5:]
+            tail = proc.stderr.decode("utf-8", "replace").strip().splitlines()[-5:]
             detail = " | ".join(tail) if tail else "no stderr"
             raise self.failure(f"{argv[0]!r} exited {proc.returncode}: {detail}")
-        return proc.stdout
+        try:
+            stdout = proc.stdout.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"{argv[0]!r} wrote output that is not UTF-8: {exc}") from None
+        # "\r\n" and a lone "\r" end a line, as text mode reads them
+        return stdout.replace("\r\n", "\n").replace("\r", "\n")

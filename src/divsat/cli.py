@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -33,26 +32,39 @@ if TYPE_CHECKING:
     from .diversity import DiversityScore
     from .embedset import EmbeddingSet
     from .mmd import KernelConfig, MmdEstimate
-    from .synth import GaussianSpec
 
 # Each handler imports the divsat modules it runs, so a process pays only
 # for its subcommand: --version, usage errors, filter run and eval and the
 # synth-provider provider role start without numpy.
 
-
-@dataclass
-class GlobalConfig:
-    seed: int = 0
-    fmt: str = "json"
-    timeout: float = 300.0
-    verbose: int = 0
+# seconds; subprocess waits in poll(), whose timeout is at most 2**31 - 1 ms
+_MAX_TIMEOUT = 2147483
 
 
-@dataclass
-class RawOutput:
-    """Wire-contract output printed verbatim instead of a wrapped report."""
+def _checked(cast, ok, what: str):
+    """An argparse type: ``cast`` the flag's text, then require ``ok`` of the value.
 
-    text: str
+    A failure is a usage error naming the flag, raised while the command
+    line is parsed, so before any file is read or child started.
+    """
+
+    def convert(text: str):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+
+    return convert
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_COUNT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_FRACTION = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
+_TIMEOUT = _checked(float, lambda v: 0 < v <= _MAX_TIMEOUT, f"seconds in (0, {_MAX_TIMEOUT}]")
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -61,7 +73,7 @@ def _common_parser() -> argparse.ArgumentParser:
                         help="RNG seed; falls back to DIVSAT_SEED, then 0")
     common.add_argument("--format", choices=("json", "pretty"), default="json",
                         help="report format (default json)")
-    common.add_argument("--timeout", type=float, default=300.0,
+    common.add_argument("--timeout", type=_TIMEOUT, default=300.0,
                         help="seconds allowed per external command (default 300)")
     common.add_argument("-v", "--verbose", action="count", default=0,
                         help="log progress to stderr; repeat for debug detail")
@@ -70,7 +82,7 @@ def _common_parser() -> argparse.ArgumentParser:
 
 def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--bandwidth", type=float, default=None,
+    group.add_argument("--bandwidth", type=_POSITIVE, default=None,
                        help="explicit Gaussian kernel bandwidth")
     group.add_argument("--median", action="store_true",
                        help="median-heuristic bandwidth (the default)")
@@ -98,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", help="first embedding JSONL file")
     p.add_argument("y", help="second embedding JSONL file")
     _add_kernel_flags(p)
-    p.add_argument("--reps", type=int, default=None,
+    p.add_argument("--reps", type=_POSITIVE_INT, default=None,
                    help="resampling repetitions; required when sizes differ")
     p.add_argument("--unnormalized", action="store_true",
                    help="report raw kernel sums instead of dividing by N^2")
@@ -108,26 +120,26 @@ def build_parser() -> argparse.ArgumentParser:
                        help="grow a set until comparative diversity saturates")
     init = p.add_mutually_exclusive_group(required=True)
     init.add_argument("--init", help="initial embedding JSONL file")
-    init.add_argument("--init-count", type=int,
+    init.add_argument("--init-count", type=_POSITIVE_INT,
                       help="bootstrap this many items from the provider instead")
     p.add_argument("--provider", required=True,
                    help="command emitting {\"text\": ...} JSONL, given --count N")
     p.add_argument("--embedder", required=True,
                    help="command mapping {\"id\",\"text\"} JSONL on stdin to embedding JSONL")
-    p.add_argument("--perc", type=float, default=0.05,
+    p.add_argument("--perc", type=_FRACTION, default=0.05,
                    help="batch size as a fraction of the current set (default 0.05)")
-    p.add_argument("--early-stop", type=int, default=5,
+    p.add_argument("--early-stop", type=_COUNT, default=5,
                    help="consecutive in-window scores beyond the first needed to stop (default 5)")
-    p.add_argument("--reps", type=int, default=10,
+    p.add_argument("--reps", type=_POSITIVE_INT, default=10,
                    help="MMD resampling repetitions per iteration (default 10)")
-    p.add_argument("--max-iter", type=int, default=1000,
+    p.add_argument("--max-iter", type=_POSITIVE_INT, default=1000,
                    help="iteration cap (default 1000)")
     p.add_argument("--fixed-batch", action="store_true",
                    help="size batches from the initial set instead of the growing one")
     _add_kernel_flags(p)
     p.add_argument("--activity", default=None,
                    help="passed through to the provider as --activity")
-    p.add_argument("--baseline", type=int, default=1000,
+    p.add_argument("--baseline", type=_POSITIVE_INT, default=1000,
                    help="reference set size for the savings percentage (default 1000)")
     p.add_argument("--out", required=True, help="where to write the final set")
     p.add_argument("--trace", default=None, help="where to write the per-iteration trace")
@@ -135,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[common],
                        help="write a seeded synthetic Gaussian embedding set")
-    p.add_argument("--k", type=int, required=True, help="embedding dimension")
-    p.add_argument("--n", type=int, required=True, help="number of records")
-    p.add_argument("--sigma", type=float, default=1.0, help="per-axis stddev (default 1)")
+    p.add_argument("--k", type=_POSITIVE_INT, required=True, help="embedding dimension")
+    p.add_argument("--n", type=_POSITIVE_INT, required=True, help="number of records")
+    p.add_argument("--sigma", type=_POSITIVE, default=1.0, help="per-axis stddev (default 1)")
     p.add_argument("--mean-shift", default=None,
                    help="mean vector: one float broadcast to all axes, or k comma-separated floats")
     p.add_argument("--out", required=True, help="where to write the set")
@@ -146,17 +158,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth-provider", parents=[common],
                        help="synthetic source speaking the provider/embedder wire contracts")
     p.add_argument("--role", choices=("provider", "embedder"), required=True)
-    p.add_argument("--k", type=int, required=True, help="embedding dimension")
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--k", type=_POSITIVE_INT, required=True, help="embedding dimension")
+    p.add_argument("--sigma", type=_POSITIVE, default=1.0)
     p.add_argument("--mean", default=None,
                    help="mean vector, same syntax as synth --mean-shift")
     p.add_argument("--drift", default=None,
                    help="per-call mean drift vector (needs --state to take effect)")
     p.add_argument("--state", default=None,
                    help="counter file persisting progress across invocations")
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=_COUNT, default=None,
                    help="total item budget; the provider exhausts past it")
-    p.add_argument("--count", type=int, default=None,
+    p.add_argument("--count", type=_COUNT, default=None,
                    help="(appended by the caller) batch size for the provider role")
     p.add_argument("--activity", default=None,
                    help="(appended by the caller) accepted and ignored")
@@ -171,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--captions", required=True, help="caption JSONL file")
     pr.add_argument("--judge", required=True,
                     help="command receiving prompt JSON on stdin, answering yes/no lines")
-    pr.add_argument("--retries", type=int, default=2,
+    pr.add_argument("--retries", type=_COUNT, default=2,
                     help="re-queries allowed for an unparseable batch (default 2)")
     pr.add_argument("--out", required=True, help="where to write verdict JSONL")
     pr.set_defaults(handler=cmd_filter_run)
@@ -201,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     raw = os.environ.get("DIVSAT_SEED")
     if raw is None:
@@ -215,11 +227,8 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 def _kernel_from_args(args: argparse.Namespace) -> KernelConfig:
     from .mmd import KernelConfig
 
-    if getattr(args, "bandwidth", None) is not None:
-        try:
-            return KernelConfig(bandwidth=args.bandwidth)
-        except ValueError as exc:
-            raise UsageError(f"--{exc}") from None
+    if args.bandwidth is not None:
+        return KernelConfig(bandwidth=args.bandwidth)
     return KernelConfig()
 
 
@@ -237,15 +246,6 @@ def _parse_vector(raw: str | None, k: int, flag: str) -> list[float] | None:
     if len(parts) != k:
         raise UsageError(f"{flag} needs 1 or {k} values, got {len(parts)}")
     return parts
-
-
-def _gaussian_spec(args: argparse.Namespace, mean: list[float] | None, seed: int) -> GaussianSpec:
-    from .synth import GaussianSpec
-
-    try:
-        return GaussianSpec(k=args.k, sigma=args.sigma, mean=mean, seed=seed)
-    except ValueError as exc:
-        raise UsageError(f"--{exc}") from None
 
 
 def _score_dict(score: DiversityScore) -> dict:
@@ -271,17 +271,18 @@ def _estimate_dict(est: MmdEstimate, normalized: bool) -> dict:
     }
 
 
-# subcommand handlers; each returns the deterministic result payload
+# subcommand handlers; each returns the deterministic result payload, or None
+# when it wrote its own wire-contract output
 
 
-def cmd_diversity(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+def cmd_diversity(args: argparse.Namespace) -> dict:
     from .diversity import diversity_report
     from .embedset import load_set
 
     return _score_dict(diversity_report(load_set(args.set)))
 
 
-def cmd_mmd(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+def cmd_mmd(args: argparse.Namespace) -> dict:
     from .embedset import load_set
     from .mmd import mmd_calculator
 
@@ -296,19 +297,10 @@ def cmd_mmd(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
     est = mmd_calculator(
         x, y, kernel,
         repetitions=args.reps if args.reps is not None else 1,
-        seed=cfg.seed,
+        seed=args.seed,
         normalized=not args.unnormalized,
     )
     return _estimate_dict(est, normalized=not args.unnormalized)
-
-
-# the flag behind each SaturationConfig field whose check can fail
-_SATURATE_FLAGS = {
-    "perc": "--perc",
-    "early_stop": "--early-stop",
-    "mmd_repetitions": "--reps",
-    "max_iterations": "--max-iter",
-}
 
 
 def _external(factory, command: str, flag: str, timeout: float):
@@ -319,7 +311,7 @@ def _external(factory, command: str, flag: str, timeout: float):
         raise UsageError(f"{flag}: {exc}") from None
 
 
-def cmd_saturate(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+def cmd_saturate(args: argparse.Namespace) -> dict:
     from .embedset import load_set, write_set
     from .saturation import (
         SaturationConfig,
@@ -330,26 +322,17 @@ def cmd_saturate(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
         write_trace,
     )
 
-    if args.init_count is not None and args.init_count < 1:
-        raise UsageError("--init-count must be >= 1")
-    if args.baseline < 1:
-        raise UsageError("--baseline must be >= 1")
-    kernel = _kernel_from_args(args)
-    try:
-        sat_cfg = SaturationConfig(
-            perc=args.perc,
-            early_stop=args.early_stop,
-            mmd_repetitions=args.reps,
-            kernel=kernel,
-            seed=cfg.seed,
-            max_iterations=args.max_iter,
-            fixed_batch=args.fixed_batch,
-        )
-    except ValueError as exc:
-        field = str(exc).split()[0]
-        raise UsageError(f"{_SATURATE_FLAGS.get(field, field)}: {exc}") from None
-    provider = _external(external_provider, args.provider, "--provider", cfg.timeout)
-    embedder = _external(external_embedder, args.embedder, "--embedder", cfg.timeout)
+    sat_cfg = SaturationConfig(
+        perc=args.perc,
+        early_stop=args.early_stop,
+        mmd_repetitions=args.reps,
+        kernel=_kernel_from_args(args),
+        seed=args.seed,
+        max_iterations=args.max_iter,
+        fixed_batch=args.fixed_batch,
+    )
+    provider = _external(external_provider, args.provider, "--provider", args.timeout)
+    embedder = _external(external_embedder, args.embedder, "--embedder", args.timeout)
     if args.init is not None:
         initial: EmbeddingSet | int = load_set(args.init)
         initial_size = initial.size
@@ -384,15 +367,12 @@ def cmd_saturate(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
     }
 
 
-def cmd_synth(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+def cmd_synth(args: argparse.Namespace) -> dict:
     from .embedset import write_set
-    from .synth import gaussian_set
+    from .synth import GaussianSpec, gaussian_set
 
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    spec = _gaussian_spec(args, _parse_vector(args.mean_shift, args.k, "--mean-shift"), cfg.seed)
+    mean = _parse_vector(args.mean_shift, args.k, "--mean-shift")
+    spec = GaussianSpec(k=args.k, sigma=args.sigma, mean=mean, seed=args.seed)
     embeddings = gaussian_set(spec, args.n)
     write_set(embeddings, args.out)
     return {
@@ -400,7 +380,7 @@ def cmd_synth(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
         "k": args.k,
         "sigma": args.sigma,
         "mean": list(spec.mean),
-        "seed": cfg.seed,
+        "seed": args.seed,
         "out": args.out,
     }
 
@@ -423,22 +403,22 @@ def _bump_state(path: str | None, amount: int) -> int:
     return base
 
 
-def cmd_synth_provider(args: argparse.Namespace, cfg: GlobalConfig) -> RawOutput:
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
-    spec = _gaussian_spec(args, _parse_vector(args.mean, args.k, "--mean"), cfg.seed)
+def cmd_synth_provider(args: argparse.Namespace) -> None:
+    """Write the role's wire lines to stdout, or none of them on a failure."""
+    from .synth import GaussianSpec
+
+    mean = _parse_vector(args.mean, args.k, "--mean")
+    spec = GaussianSpec(k=args.k, sigma=args.sigma, mean=mean, seed=args.seed)
     drift = _parse_vector(args.drift, args.k, "--drift")
     if args.role == "provider":
         if args.count is None:
             raise UsageError("the provider role needs --count")
-        if args.count < 0:
-            raise UsageError("--count must be >= 0")
         base = _bump_state(args.state, args.count)
         count = args.count
         if args.limit is not None:
             count = max(0, min(count, args.limit - base))
-        lines = [json.dumps({"text": f"tok{base + i}"}) for i in range(count)]
-        return RawOutput("\n".join(lines) + ("\n" if lines else ""))
+        sys.stdout.writelines(json.dumps({"text": f"tok{base + i}"}) + "\n" for i in range(count))
+        return
     # embedder role: one call embeds one batch; the persisted counter says
     # how many batches came before, which positions the drifting mean
     from ._proc import json_objects, split_lines
@@ -448,24 +428,26 @@ def cmd_synth_provider(args: argparse.Namespace, cfg: GlobalConfig) -> RawOutput
     offset = None
     if drift is not None:
         offset = [v * float(calls_before) for v in drift]
+    try:
+        text = sys.stdin.buffer.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(f"stdin is not valid UTF-8: {exc}") from None
     out_lines = []
-    for i, obj in json_objects(split_lines(sys.stdin.read()), MalformedLine, "stdin line"):
+    for i, obj in json_objects(split_lines(text), MalformedLine, "stdin line"):
         if "text" not in obj:
             raise MalformedLine(f"stdin line {i + 1}: expected an object with \"text\"")
         vec = token_vector(str(obj["text"]), spec, offset=offset)
         record_id = obj.get("id", i)
         out_lines.append(
-            json.dumps({"id": str(record_id), "vector": [float(v) for v in vec]})
+            json.dumps({"id": str(record_id), "vector": [float(v) for v in vec]}) + "\n"
         )
-    return RawOutput("\n".join(out_lines) + ("\n" if out_lines else ""))
+    sys.stdout.writelines(out_lines)
 
 
-def cmd_filter_run(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+def cmd_filter_run(args: argparse.Namespace) -> dict:
     from .filtergate import external_judge, load_captions, run_filter, write_verdicts
 
-    if args.retries < 0:
-        raise UsageError("--retries must be >= 0")
-    judge = _external(external_judge, args.judge, "--judge", cfg.timeout)
+    judge = _external(external_judge, args.judge, "--judge", args.timeout)
     items = [c for c in load_captions(args.captions) if c.activity == args.activity]
     verdicts = run_filter(args.activity, items, judge, retries=args.retries)
     write_verdicts(verdicts, args.out)
@@ -479,7 +461,7 @@ def cmd_filter_run(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
     }
 
 
-def cmd_filter_eval(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+def cmd_filter_eval(args: argparse.Namespace) -> dict:
     from .filtergate import evaluate_filter, load_truth, load_verdicts
 
     metrics = evaluate_filter(load_verdicts(args.verdicts), load_truth(args.truth))
@@ -539,7 +521,7 @@ def _result_dict(report) -> dict:
     }
 
 
-def cmd_correlate(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+def cmd_correlate(args: argparse.Namespace) -> dict:
     from .analysis import aggregate_r, correlation_report
 
     series = {
@@ -570,7 +552,7 @@ def cmd_correlate(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
     return {"per_activity": per_activity, "aggregate": aggregate}
 
 
-def cmd_impact(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
+def cmd_impact(args: argparse.Namespace) -> dict:
     from .analysis import diversity_impact
     from .embedset import load_set
 
@@ -581,12 +563,6 @@ def cmd_impact(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
         "delta_std": report.delta_std,
         "delta_centroid": report.delta_centroid,
     }
-
-
-def _config_echo(args: argparse.Namespace, cfg: GlobalConfig) -> dict:
-    echo = {key: value for key, value in sorted(vars(args).items()) if not callable(value)}
-    echo["seed"] = cfg.seed
-    return echo
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
@@ -616,10 +592,6 @@ def emit_report(command: str, config: dict, result: dict, duration_s: float,
     return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
-# seconds; subprocess waits in poll(), whose timeout is at most 2**31 - 1 ms
-_MAX_TIMEOUT = 2147483
-
-
 def dispatch(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -627,29 +599,17 @@ def dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = GlobalConfig(
-            seed=_resolve_seed(args),
-            fmt=getattr(args, "format", "json"),
-            timeout=getattr(args, "timeout", 300.0),
-            verbose=getattr(args, "verbose", 0),
-        )
-        if not (0 < cfg.timeout <= _MAX_TIMEOUT):
-            raise UsageError(f"--timeout must be 0 < seconds <= {_MAX_TIMEOUT}, got {cfg.timeout}")
-        if getattr(args, "json", False):
-            cfg.fmt = "json"
-        if cfg.verbose:
+        args.seed = _resolve_seed(args)
+        if args.verbose:
             import logging
 
             logging.basicConfig(
                 stream=sys.stderr,
-                level=logging.DEBUG if cfg.verbose > 1 else logging.INFO,
+                level=logging.DEBUG if args.verbose > 1 else logging.INFO,
                 format="%(name)s: %(message)s",
             )
-        command = args.command
-        if command == "filter":
-            command = f"filter {args.filter_command}"
         start = time.perf_counter()
-        result = args.handler(args, cfg)
+        result = args.handler(args)
         duration = time.perf_counter() - start
     except UsageError as exc:
         print(f"divsat: {exc}", file=sys.stderr)
@@ -658,10 +618,14 @@ def dispatch(argv: list[str] | None = None) -> int:
         error = {"error": {"code": exc.code, "message": str(exc)}}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 1
-    if isinstance(result, RawOutput):
-        sys.stdout.write(result.text)
+    if result is None:
         return 0
-    print(emit_report(command, _config_echo(args, cfg), result, duration, cfg.fmt))
+    command = args.command
+    if command == "filter":
+        command = f"filter {args.filter_command}"
+    config = {key: value for key, value in sorted(vars(args).items()) if not callable(value)}
+    fmt = "json" if getattr(args, "json", False) else args.format
+    print(emit_report(command, config, result, duration, fmt))
     return 0
 
 

@@ -42,48 +42,46 @@ class DiversityScore:
 
 
 def axis_stats(embeddings: EmbeddingSet) -> AxisStats:
-    values = embeddings.vectors
-    means = values.mean(axis=0)
-    stddevs = values.std(axis=0)
-    # A constant axis must report sigma exactly 0 (and its constant as the
-    # mean); summing n identical floats can otherwise leave an ulp of noise.
-    constant = values.max(axis=0) == values.min(axis=0)
-    if constant.any():
-        means = np.where(constant, values[0], means)
-        stddevs = np.where(constant, 0.0, stddevs)
-    return AxisStats(means=means, stddevs=stddevs)
+    return diversity_report(embeddings).axis
 
 
 def std_diversity(embeddings: EmbeddingSet) -> float:
-    """Geometric mean of the per-axis standard deviations.
-
-    The k-fold product is taken in log space so long products of small
-    sigmas cannot underflow; an exactly-zero sigma on any axis short
-    circuits to 0.0 before the log.
-    """
-    sigma = axis_stats(embeddings).stddevs
-    if np.any(sigma == 0.0):
-        return 0.0
-    return float(np.exp(np.mean(np.log(sigma))))
+    """Geometric mean of the per-axis standard deviations."""
+    return diversity_report(embeddings).std_metric
 
 
 def centroid_diversity(embeddings: EmbeddingSet) -> float:
     """Mean squared Euclidean distance of every vector from the set centroid."""
-    values = embeddings.vectors
-    if np.array_equal(values.max(axis=0), values.min(axis=0)):
-        return 0.0
-    deltas = values - values.mean(axis=0)
-    return float((deltas * deltas).sum(axis=1).mean())
+    return diversity_report(embeddings).centroid_metric
 
 
 def diversity_report(embeddings: EmbeddingSet) -> DiversityScore:
-    """Bundle both metrics with the centroid and axis stats for reporting."""
-    stats = axis_stats(embeddings)
+    """Both metrics with the centroid and axis stats, from one pass over the set.
+
+    The squared deviations from the axis means are the one n x k temporary:
+    their column sums give the variances and their row sums the centroid
+    metric. The k-fold product of the std metric is taken in log space so
+    long products of small sigmas cannot underflow; an exactly-zero sigma on
+    any axis short circuits to 0.0 before the log.
+    """
+    values = embeddings.vectors
+    means = values.mean(axis=0)
+    squares = values - means
+    squares *= squares
+    stddevs = np.sqrt(squares.sum(axis=0) / len(values))
+    # A constant axis must report sigma exactly 0 (and its constant as the
+    # mean); summing n identical floats can otherwise leave an ulp of noise.
+    constant = values.max(axis=0) == values.min(axis=0)
+    centroid_metric = 0.0 if constant.all() else float(squares.sum(axis=1).mean())
+    if constant.any():
+        means = np.where(constant, values[0], means)
+        stddevs = np.where(constant, 0.0, stddevs)
+    std_metric = 0.0 if np.any(stddevs == 0.0) else float(np.exp(np.mean(np.log(stddevs))))
     return DiversityScore(
-        std_metric=std_diversity(embeddings),
-        centroid_metric=centroid_diversity(embeddings),
-        centroid=stats.means,
+        std_metric=std_metric,
+        centroid_metric=centroid_metric,
+        centroid=means,
         n=embeddings.size,
         k=embeddings.dimension,
-        axis=stats,
+        axis=AxisStats(means=means, stddevs=stddevs),
     )

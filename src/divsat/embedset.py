@@ -29,12 +29,11 @@ from .errors import (
     DuplicateId,
     EmptySet,
     EmptyVector,
-    IoError,
     MalformedLine,
     NonFiniteValue,
     UnknownId,
 )
-from ._proc import json_objects, read_lines
+from ._proc import json_objects, read_lines, write_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,14 +294,11 @@ def record_to_json(rec: EmbeddingRecord) -> str:
 
 def write_set(embeddings: EmbeddingSet, path) -> None:
     """Write a set as JSON Lines; a later load_set reproduces it exactly."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for pos, row in enumerate(embeddings.vectors):
-                fh.write(_row_json(embeddings._ids[pos], row.tolist(),
-                                   embeddings._labels[pos], embeddings._metas[pos]))
-                fh.write("\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from None
+    write_lines(path, (
+        _row_json(embeddings._ids[pos], row.tolist(), embeddings._labels[pos],
+                  embeddings._metas[pos])
+        for pos, row in enumerate(embeddings.vectors)
+    ))
 
 
 def subset(embeddings: EmbeddingSet, ids: Iterable[str]) -> EmbeddingSet:

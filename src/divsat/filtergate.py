@@ -20,7 +20,6 @@ from .errors import (
     DuplicateId,
     EmptyInput,
     EmptySet,
-    IoError,
     JudgeError,
     LabelMismatch,
     MalformedLine,
@@ -28,7 +27,7 @@ from .errors import (
     UnknownVerdictId,
     UnparseableLine,
 )
-from ._proc import External, json_objects, read_lines
+from ._proc import External, json_objects, read_lines, write_lines
 
 if TYPE_CHECKING:
     from .embedset import EmbeddingSet
@@ -336,13 +335,7 @@ def load_verdicts(path) -> list[FilterVerdict]:
 
 
 def write_verdicts(verdicts: Sequence[FilterVerdict], path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for verdict in verdicts:
-                fh.write(json.dumps({"id": verdict.id, "keep": verdict.keep}))
-                fh.write("\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from None
+    write_lines(path, (json.dumps({"id": v.id, "keep": v.keep}) for v in verdicts))
 
 
 def load_truth(path) -> dict[str, bool]:

@@ -25,12 +25,11 @@ from .errors import (
     DivsatError,
     DuplicateId,
     EmbedderError,
-    IoError,
     ProtocolError,
     ProviderError,
 )
 from .mmd import KernelConfig, MmdEstimate, mmd_calculator
-from ._proc import External, json_objects, split_lines
+from ._proc import External, json_objects, split_lines, write_lines
 from .rng import as_uint64
 
 log = logging.getLogger(__name__)
@@ -293,13 +292,7 @@ def write_trace(trace: SaturationTrace, path) -> None:
 
 
 def _write_steps(steps: Sequence[TraceStep], path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for step in steps:
-                fh.write(json.dumps(step.to_json_dict(), sort_keys=True))
-                fh.write("\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from None
+    write_lines(path, (json.dumps(step.to_json_dict(), sort_keys=True) for step in steps))
 
 
 class _ExternalProvider(External):

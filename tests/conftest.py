@@ -28,14 +28,18 @@ def run_cli():
     """Run the installed CLI in a subprocess and return (code, stdout, stderr)."""
 
     def _run(*args, stdin=None, env=None, timeout=120):
+        # bytes on stdin go through as they are, and the output is read as UTF-8
+        raw = isinstance(stdin, bytes)
         proc = subprocess.run(
             [sys.executable, "-m", "divsat", *[str(a) for a in args]],
             input=stdin,
             capture_output=True,
-            text=True,
+            text=not raw,
             timeout=timeout,
             env=_child_env(env),
         )
+        if raw:
+            return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
         return proc.returncode, proc.stdout, proc.stderr
 
     return _run

@@ -5,8 +5,10 @@ the exit-code contract: 0 with a JSON report on stdout, 1 with an error
 object on stderr for domain failures, 2 for usage problems.
 """
 
+import argparse
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -21,6 +23,7 @@ from divsat import (
     load_set,
     mmd_calculator,
 )
+from divsat.cli import build_parser
 from divsat.synth import GaussianSpec, gaussian_set, token_vector
 
 SQUARE = [
@@ -76,6 +79,43 @@ class TestDispatch:
         assert code == 1
         assert error_of(err)["code"] == "malformed_line"
 
+    @pytest.mark.parametrize("argv", [
+        ("diversity", "BAD"),
+        ("filter", "eval", "--verdicts", "BAD", "--truth", "BAD"),
+    ])
+    def test_invalid_utf8_file_is_domain_error(self, run_cli, tmp_path, argv):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'\xff\xfe{"id": "a", "vector": [1.0]}\n')
+        code, out, err = run_cli(*[bad if arg == "BAD" else arg for arg in argv])
+        assert code == 1
+        assert "Traceback" not in err
+        error = error_of(err)
+        assert error["code"] == "malformed_line"
+        assert str(bad) in error["message"] and "UTF-8" in error["message"]
+
+
+def options_of(parser):
+    """Every optional action of ``parser`` and of its subparsers, recursively."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from options_of(sub)
+        elif action.option_strings:
+            yield action
+
+
+def test_only_seed_is_a_bare_number():
+    # a numeric flag without a range-checked type would reach the handlers unchecked
+    actions = list(options_of(build_parser()))
+    flags = {flag for action in actions for flag in action.option_strings}
+    assert {"--retries", "--limit", "--timeout", "--perc"} <= flags
+    bare = {
+        flag
+        for action in actions if action.type in (int, float)
+        for flag in action.option_strings
+    }
+    assert bare == {"--seed"}
+
 
 class TestReportEnvelope:
     def test_payload_shape_and_key_order(self, run_cli, write_jsonl):
@@ -107,6 +147,14 @@ class TestReportEnvelope:
         with pytest.raises(ValueError):
             json.loads(out)
 
+    def test_json_flag_overrides_pretty_and_echoes_the_format(self, run_cli, write_jsonl):
+        path = write_jsonl("square.jsonl", SQUARE)
+        code, out, err = run_cli("diversity", path, "--format", "pretty", "--json")
+        assert code == 0
+        config = report_of(out)["config"]
+        assert config["format"] == "pretty"
+        assert config["json"] is True
+
 
 class TestSeedResolution:
     def test_env_fallback_matches_flag(self, run_cli, tmp_path):
@@ -126,6 +174,12 @@ class TestSeedResolution:
         run_cli(*args, "--seed", 1, "--out", out_a, env={"DIVSAT_SEED": "99"})
         run_cli(*args, "--seed", 1, "--out", out_b)
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_env_seed_is_echoed(self, run_cli, write_jsonl):
+        path = write_jsonl("square.jsonl", SQUARE)
+        code, out, err = run_cli("diversity", path, env={"DIVSAT_SEED": "9"})
+        assert code == 0
+        assert report_of(out)["config"]["seed"] == 9
 
     def test_bad_env_seed_is_usage_error(self, run_cli, write_jsonl):
         path = write_jsonl("square.jsonl", SQUARE)
@@ -252,6 +306,19 @@ class TestMmdCommand:
         assert "--bandwidth" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value, x_exists", [("0", True), ("-3", True), ("0", False)])
+    def test_bad_reps_rejected_before_any_file_is_read(self, run_cli, write_jsonl, tmp_path,
+                                                       value, x_exists):
+        x, y = self.write_pair(write_jsonl, 8, 5)
+        if not x_exists:
+            x = tmp_path / "missing.jsonl"
+        code, out, err = run_cli("mmd", x, y, "--reps", value)
+        assert code == 2
+        assert out == ""
+        assert "--reps" in err
+        assert "io_error" not in err
+        assert "Traceback" not in err
+
 
 class TestSynthCommand:
     def test_writes_loadable_deterministic_set(self, run_cli, tmp_path):
@@ -322,6 +389,7 @@ class TestSynthCommand:
     @pytest.mark.parametrize("role, flag, value", [
         ("provider", "--sigma", "-1"), ("embedder", "--sigma", "inf"),
         ("embedder", "--mean", "nan"), ("embedder", "--drift", "inf"),
+        ("provider", "--limit", "-1"), ("provider", "--count", "-1"),
     ])
     def test_provider_bad_distribution_rejected(self, run_cli, tmp_path, role, flag, value):
         state = tmp_path / "counter"
@@ -438,6 +506,17 @@ class TestSynthProviderCommand:
         assert code == 1
         assert error_of(err)["code"] == "malformed_line"
 
+    def test_embedder_rejects_stdin_that_is_not_utf8(self, run_cli):
+        code, out, err = run_cli(
+            "synth-provider", "--role", "embedder", "--k", 2, stdin=b'{"text": "a\xff"}\n'
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        error = error_of(err)
+        assert error["code"] == "malformed_line"
+        assert "UTF-8" in error["message"]
+        assert out == ""
+
 
 def quoted(*parts):
     return " ".join(shlex.quote(str(p)) for p in parts)
@@ -485,6 +564,14 @@ class TestSaturateCommand:
         # savings relative to the default 1000-item baseline
         expected_savings = round(100.0 * (1.0 - result["final_size"] / 1000), 2)
         assert result["savings_pct"] == expected_savings
+
+    def test_verbose_logs_each_iteration(self, run_cli, tmp_path):
+        state, out_path, trace_path, args = self.saturate_args(tmp_path, "vv", max_iter=2)
+        code, stdout, err = run_cli(*args, "-vv", timeout=300)
+        assert code == 0, err
+        # the line format the benchmark harness parses to time iterations
+        found = re.findall(r"^divsat\.saturation: iteration (\d+): n=\d+ ", err, re.MULTILINE)
+        assert found == ["1", "2"]
 
     def test_runs_are_reproducible(self, run_cli, tmp_path):
         state, out_path, trace_path, args = self.saturate_args(tmp_path, "rep")
@@ -896,6 +983,28 @@ class TestFilterCommands:
         )
         assert code == 1
         assert error_of(err)["code"] == "judge_error"
+
+    def test_judge_output_that_is_not_utf8_is_protocol_error(self, run_cli, write_jsonl,
+                                                              stub_script, tmp_path):
+        captions = self.write_captions(write_jsonl, n=2)
+        judge = stub_script(
+            """\
+            import sys
+            sys.stdin.read()
+            sys.stdout.buffer.write(b"1. yes\\xff\\n2. no\\n")
+            """
+        )
+        out = tmp_path / "v.jsonl"
+        code, stdout, err = run_cli(
+            "filter", "run", "--activity", "walking", "--captions", captions,
+            "--judge", quoted(*judge), "--out", out, timeout=300,
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        error = error_of(err)
+        assert error["code"] == "protocol_error"
+        assert "UTF-8" in error["message"]
+        assert not out.exists()
 
     def test_eval_frozen_confusion(self, run_cli, write_jsonl):
         # tp=3 fp=1 fn=2 tn=4 over ten items

@@ -203,3 +203,17 @@ def test_gaussian_centroid_expectation():
     k, sigma = 6, 1.5
     arr = rng.normal(scale=sigma, size=(10_000, k))
     assert centroid_diversity(as_set(arr)) == pytest.approx(k * sigma * sigma, rel=0.05)
+
+
+def test_report_peak_is_one_set_sized_temporary():
+    import tracemalloc
+
+    n, k = 20000, 64
+    embeddings = as_set(np.random.default_rng(3).normal(size=(n, k)))
+    tracemalloc.start()
+    try:
+        diversity_report(embeddings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * k * 8
