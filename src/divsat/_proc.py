@@ -12,13 +12,13 @@ from .errors import DivsatError, IoError, MalformedLine, ProtocolError, SpawnErr
 
 
 def split_lines(text: str) -> list[str]:
-    """Split JSON Lines text on "\\n" alone, dropping the empty tail after a final one.
+    """Split JSON Lines text into lines, dropping the empty tail after a final line end.
 
-    ``str.splitlines()`` also splits on U+2028, U+2029 and U+0085, which JSON
-    allows raw inside strings. A CR before the newline stays on its line,
-    where JSON reads it as whitespace.
+    "\\r\\n", a lone "\\r" and "\\n" each end a line, as text mode reads a
+    file. ``str.splitlines()`` would also split on U+2028, U+2029 and U+0085,
+    which JSON allows raw inside strings.
     """
-    lines = text.split("\n")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
@@ -109,8 +109,6 @@ class External:
             detail = " | ".join(tail) if tail else "no stderr"
             raise self.failure(f"{argv[0]!r} exited {proc.returncode}: {detail}")
         try:
-            stdout = proc.stdout.decode("utf-8")
+            return proc.stdout.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"{argv[0]!r} wrote output that is not UTF-8: {exc}") from None
-        # "\r\n" and a lone "\r" end a line, as text mode reads them
-        return stdout.replace("\r\n", "\n").replace("\r", "\n")

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -23,6 +24,7 @@ from .errors import (
     DivsatError,
     IoError,
     MalformedLine,
+    NonFiniteValue,
     SizeMismatch,
     SpawnError,
     UsageError,
@@ -31,7 +33,7 @@ from .errors import (
 if TYPE_CHECKING:
     from .diversity import DiversityScore
     from .embedset import EmbeddingSet
-    from .mmd import KernelConfig, MmdEstimate
+    from .mmd import KernelConfig
 
 # Each handler imports the divsat modules it runs, so a process pays only
 # for its subcommand: --version, usage errors, filter run and eval and the
@@ -227,9 +229,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 def _kernel_from_args(args: argparse.Namespace) -> KernelConfig:
     from .mmd import KernelConfig
 
-    if args.bandwidth is not None:
-        return KernelConfig(bandwidth=args.bandwidth)
-    return KernelConfig()
+    return KernelConfig() if args.bandwidth is None else KernelConfig(bandwidth=args.bandwidth)
 
 
 def _parse_vector(raw: str | None, k: int, flag: str) -> list[float] | None:
@@ -257,17 +257,6 @@ def _score_dict(score: DiversityScore) -> dict:
         "k": score.k,
         "axis_means": [float(v) for v in score.axis.means],
         "axis_stddevs": [float(v) for v in score.axis.stddevs],
-    }
-
-
-def _estimate_dict(est: MmdEstimate, normalized: bool) -> dict:
-    return {
-        "mean": est.mean,
-        "stddev": est.stddev,
-        "repetitions": est.repetitions,
-        "bandwidth_used": est.bandwidth_used,
-        "sizes": list(est.sizes),
-        "normalized": normalized,
     }
 
 
@@ -300,7 +289,7 @@ def cmd_mmd(args: argparse.Namespace) -> dict:
         seed=args.seed,
         normalized=not args.unnormalized,
     )
-    return _estimate_dict(est, normalized=not args.unnormalized)
+    return {**asdict(est), "normalized": not args.unnormalized}
 
 
 def _external(factory, command: str, flag: str, timeout: float):
@@ -319,7 +308,6 @@ def cmd_saturate(args: argparse.Namespace) -> dict:
         external_embedder,
         external_provider,
         run_saturation,
-        write_trace,
     )
 
     sat_cfg = SaturationConfig(
@@ -344,16 +332,17 @@ def cmd_saturate(args: argparse.Namespace) -> dict:
         final, trace = run_saturation(
             initial, provider, embedder, sat_cfg, context=context
         )
+        failure, steps = None, trace.steps
     except DivsatError as exc:
         # any domain failure keeps the iterations completed so far
-        if exc.partial_set is not None:
-            write_set(exc.partial_set, args.out)
-            if args.trace:
-                _write_steps(exc.trace_steps, args.trace)
-        raise
+        if exc.partial_set is None:
+            raise
+        failure, final, steps = exc, exc.partial_set, exc.trace_steps
     write_set(final, args.out)
     if args.trace:
-        write_trace(trace, args.trace)
+        _write_steps(steps, args.trace)
+    if failure is not None:
+        raise failure
     savings = 100.0 * (1.0 - final.size / args.baseline)
     return {
         "reason": trace.reason.value,
@@ -386,20 +375,29 @@ def cmd_synth(args: argparse.Namespace) -> dict:
 
 
 def _bump_state(path: str | None, amount: int) -> int:
-    """Read the persisted counter, advance it by ``amount``, return the old value."""
+    """Read the persisted counter, advance it by ``amount``, return the old value.
+
+    No file counts as 0. Content that is not a non-negative integer is a
+    usage error; a file that cannot be read or written is an IoError.
+    """
     if path is None:
         return 0
-    base = 0
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            content = fh.read().strip()
-        if content:
-            try:
-                base = int(content)
-            except ValueError:
-                raise UsageError(f"state file {path!r} is corrupt: {content!r}") from None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(str(base + amount))
+    try:
+        content = ""
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                # bytes that are not UTF-8 become "\x.." text, which int() rejects
+                content = fh.read().decode("utf-8", "backslashreplace").strip()
+        try:
+            base = int(content or 0)
+        except ValueError:
+            base = -1
+        if base < 0:
+            raise UsageError(f"state file {path!r} is corrupt: {content!r}")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(str(base + amount))
+    except OSError as exc:
+        raise IoError(str(exc)) from None
     return base
 
 
@@ -465,27 +463,23 @@ def cmd_filter_eval(args: argparse.Namespace) -> dict:
     from .filtergate import evaluate_filter, load_truth, load_verdicts
 
     metrics = evaluate_filter(load_verdicts(args.verdicts), load_truth(args.truth))
-
-    def pct(value: float | None) -> float | None:
-        return None if value is None else round(value, 2)
-
-    return {
-        "tp": metrics.tp,
-        "fp": metrics.fp,
-        "fn": metrics.fn,
-        "tn": metrics.tn,
-        "total": metrics.total,
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-        "accuracy": metrics.accuracy,
-        "f1": metrics.f1,
-        "pct_before": pct(metrics.pct_before),
-        "pct_after": pct(metrics.pct_after),
-        "undefined": dict(metrics.undefined),
-    }
+    result = {**asdict(metrics), "total": metrics.total}
+    for key in ("pct_before", "pct_after"):
+        if result[key] is not None:
+            result[key] = round(result[key], 2)
+    return result
 
 
-def _load_series_file(path) -> list:
+def _load_series_file(path) -> tuple[str, list]:
+    """Read a correlation input: a JSON array of numbers, or an array of such arrays.
+
+    Returns the shape, "flat" or "nested", and the values as floats. A value
+    must decode to exactly int or float (so not a bool); anything else is
+    MalformedLine naming the file, and an integer beyond float range is
+    NonFiniteValue.
+    """
+    from .embedset import _NUMBER_TYPES
+
     try:
         with open(path, encoding="utf-8") as fh:
             value = json.load(fh)
@@ -495,54 +489,35 @@ def _load_series_file(path) -> list:
         raise MalformedLine(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(value, list) or not value:
         raise MalformedLine(f"{path}: expected a non-empty JSON array")
-    return value
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _series_shape(value: list, path) -> str:
-    if all(_is_number(v) for v in value):
-        return "flat"
-    if all(isinstance(v, list) for v in value):
-        return "nested"
-    raise MalformedLine(f"{path}: mix of numbers and arrays")
-
-
-def _result_dict(report) -> dict:
-    return {
-        name: {"r": res.r, "p": res.p, "n": res.n}
-        for name, res in (
-            ("text_vs_motion", report.text_vs_motion),
-            ("text_vs_f1", report.text_vs_f1),
-            ("motion_vs_f1", report.motion_vs_f1),
-        )
-    }
+    shape = "nested" if isinstance(value[0], list) else "flat"
+    rows = value if shape == "nested" else [value]
+    if not all(isinstance(row, list) and _NUMBER_TYPES.issuperset(map(type, row))
+               for row in rows):
+        raise MalformedLine(f"{path}: expected an array of numbers or of arrays of numbers")
+    try:
+        floats = [[float(v) for v in row] for row in rows]
+    except OverflowError:
+        raise NonFiniteValue(f"{path}: an integer is beyond float range") from None
+    return shape, floats if shape == "nested" else floats[0]
 
 
 def cmd_correlate(args: argparse.Namespace) -> dict:
     from .analysis import aggregate_r, correlation_report
 
-    series = {
-        "text": _load_series_file(args.text),
-        "motion": _load_series_file(args.motion),
-        "f1": _load_series_file(args.f1),
-    }
-    shapes = {name: _series_shape(v, name) for name, v in series.items()}
+    shapes, series = {}, {}
+    for name in ("text", "motion", "f1"):
+        shapes[name], series[name] = _load_series_file(getattr(args, name))
     if len(set(shapes.values())) != 1:
         raise MalformedLine(
             "all three inputs must have the same shape (all flat or all nested)"
         )
     if shapes["text"] == "flat":
-        return _result_dict(
-            correlation_report(series["text"], series["motion"], series["f1"])
-        )
+        return asdict(correlation_report(series["text"], series["motion"], series["f1"]))
     lengths = {name: len(v) for name, v in series.items()}
     if len(set(lengths.values())) != 1:
         raise MalformedLine(f"inputs list different numbers of series: {lengths}")
     per_activity = [
-        _result_dict(correlation_report(t, m, f))
+        asdict(correlation_report(t, m, f))
         for t, m, f in zip(series["text"], series["motion"], series["f1"])
     ]
     method = "fisher-z" if args.fisher_z else "raw"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, overload
+from typing import TYPE_CHECKING, Iterator, Mapping, Protocol, Sequence, overload
 
 from .errors import (
     CountMismatch,
@@ -148,15 +148,14 @@ def parse_filter_response(
         line = raw.strip()
         if not line:
             continue
-        numbered = bool(re.match(r"\s*\(?\d+", line))
-        rest = _LEADING_NUMBERING.sub("", line)
-        match = _FIRST_WORD.search(rest)
+        numbering = _LEADING_NUMBERING.match(line)
+        match = _FIRST_WORD.search(line, numbering.end() if numbering else 0)
         token = match.group(0).lower() if match else None
         if token == "yes":
             labels.append(True)
         elif token == "no":
             labels.append(False)
-        elif numbered:
+        elif numbering:
             raise UnparseableLine(f"cannot read a yes/no verdict from {raw!r}")
     if len(labels) != expected:
         raise CountMismatch(
@@ -286,35 +285,48 @@ def run_filter(
     numbered line) is re-queried up to ``retries`` more times before the
     parse error propagates.
     """
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
     verdicts: list[FilterVerdict] = []
     for prompt in build_filter_prompts(activity, captions):
         batch_ids = [item.id for item in prompt.batch]
-        last_error: Exception | None = None
-        got: list[FilterVerdict] | None = None
-        for _attempt in range(retries + 1):
+        for attempt in range(retries + 1):
             reply = judge.judge(prompt)
             try:
-                got = parse_filter_response(reply, len(prompt.batch), ids=batch_ids)
+                verdicts.extend(parse_filter_response(reply, len(prompt.batch), ids=batch_ids))
                 break
-            except (CountMismatch, UnparseableLine) as exc:
-                last_error = exc
-        if got is None:
-            raise last_error
-        verdicts.extend(got)
+            except (CountMismatch, UnparseableLine):
+                if attempt == retries:
+                    raise
     return verdicts
+
+
+def _records(path, kind: str, flag: str | None = None) -> Iterator[tuple[int, dict]]:
+    """Yield (index, object) for each line of a caption, verdict or truth file.
+
+    Every "id" must be a non-empty string that no earlier line used, and the
+    field ``flag``, when given, must be true or false. Errors cite the line.
+    """
+    seen: set[str] = set()
+    for i, obj in json_objects(read_lines(path), MalformedLine):
+        record_id = obj.get("id")
+        if not isinstance(record_id, str) or not record_id:
+            raise MalformedLine(f"line {i + 1}: 'id' must be a non-empty string")
+        if flag is not None and not isinstance(obj.get(flag), bool):
+            raise MalformedLine(f"line {i + 1}: {flag!r} must be true or false")
+        if record_id in seen:
+            raise DuplicateId(f"line {i + 1}: {kind} id {record_id!r} repeated")
+        seen.add(record_id)
+        yield i, obj
 
 
 def load_captions(path) -> list[CaptionItem]:
     """Read caption JSONL: {"id": ..., "caption": ..., "activity": ...} per line."""
     items: list[CaptionItem] = []
-    seen: set[str] = set()
-    for i, obj in json_objects(read_lines(path), MalformedLine):
-        for key in ("id", "caption", "activity"):
+    for i, obj in _records(path, "caption"):
+        for key in ("caption", "activity"):
             if not isinstance(obj.get(key), str) or not obj[key]:
                 raise MalformedLine(f"line {i + 1}: {key!r} must be a non-empty string")
-        if obj["id"] in seen:
-            raise DuplicateId(f"line {i + 1}: caption id {obj['id']!r} repeated")
-        seen.add(obj["id"])
         items.append(
             CaptionItem(id=obj["id"], caption=obj["caption"], activity=obj["activity"])
         )
@@ -323,15 +335,8 @@ def load_captions(path) -> list[CaptionItem]:
 
 def load_verdicts(path) -> list[FilterVerdict]:
     """Read verdict JSONL: {"id": ..., "keep": true|false} per line."""
-    verdicts: list[FilterVerdict] = []
-    for i, obj in json_objects(read_lines(path), MalformedLine):
-        if not isinstance(obj.get("id"), str) or not obj["id"]:
-            raise MalformedLine(f"line {i + 1}: 'id' must be a non-empty string")
-        if not isinstance(obj.get("keep"), bool):
-            raise MalformedLine(f"line {i + 1}: 'keep' must be true or false")
-        verdicts.append(FilterVerdict(id=obj["id"], keep=obj["keep"]))
-    _verdict_map(verdicts)  # surfaces duplicates with a consistent error
-    return verdicts
+    return [FilterVerdict(id=obj["id"], keep=obj["keep"])
+            for _, obj in _records(path, "verdict", "keep")]
 
 
 def write_verdicts(verdicts: Sequence[FilterVerdict], path) -> None:
@@ -340,16 +345,7 @@ def write_verdicts(verdicts: Sequence[FilterVerdict], path) -> None:
 
 def load_truth(path) -> dict[str, bool]:
     """Read ground-truth JSONL: {"id": ..., "relevant": true|false} per line."""
-    truth: dict[str, bool] = {}
-    for i, obj in json_objects(read_lines(path), MalformedLine):
-        if not isinstance(obj.get("id"), str) or not obj["id"]:
-            raise MalformedLine(f"line {i + 1}: 'id' must be a non-empty string")
-        if not isinstance(obj.get("relevant"), bool):
-            raise MalformedLine(f"line {i + 1}: 'relevant' must be true or false")
-        if obj["id"] in truth:
-            raise DuplicateId(f"line {i + 1}: truth id {obj['id']!r} repeated")
-        truth[obj["id"]] = obj["relevant"]
-    return truth
+    return {obj["id"]: obj["relevant"] for _, obj in _records(path, "truth", "relevant")}
 
 
 class _ExternalJudge(External):

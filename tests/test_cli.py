@@ -506,6 +506,42 @@ class TestSynthProviderCommand:
         assert code == 1
         assert error_of(err)["code"] == "malformed_line"
 
+    @pytest.mark.parametrize("content", [b"\xff", b"-5", b"tok"], ids=["not-utf8", "negative", "text"])
+    def test_corrupt_state_is_usage_error(self, run_cli, tmp_path, content):
+        state = tmp_path / "state"
+        state.write_bytes(content)
+        code, stdout, err = run_cli(
+            "synth-provider", "--role", "provider", "--k", 2, "--count", 2, "--state", state
+        )
+        assert code == 2
+        assert "is corrupt" in err
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert state.read_bytes() == content
+
+    def test_state_in_missing_directory_is_io_error(self, run_cli, tmp_path):
+        state = tmp_path / "no-such-dir" / "state"
+        code, stdout, err = run_cli(
+            "synth-provider", "--role", "provider", "--k", 2, "--count", 2, "--state", state
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        assert error_of(err)["code"] == "io_error"
+        assert stdout == ""
+
+    def test_embedder_stdin_lone_cr_ends_a_line(self, run_cli):
+        records = ['{"id": "a", "text": "alpha"}', '{"id": "b", "text": "beta"}']
+        outs = []
+        for sep in ("\n", "\r"):
+            code, out, err = run_cli(
+                "synth-provider", "--role", "embedder", "--k", 2, "--seed", 3,
+                stdin=(sep.join(records) + sep).encode("utf-8"),
+            )
+            assert code == 0, err
+            outs.append(out)
+        assert len(outs[0].splitlines()) == 2
+        assert outs[1] == outs[0]
+
     def test_embedder_rejects_stdin_that_is_not_utf8(self, run_cli):
         code, out, err = run_cli(
             "synth-provider", "--role", "embedder", "--k", 2, stdin=b'{"text": "a\xff"}\n'
@@ -1120,6 +1156,28 @@ class TestCorrelateCommand:
         )
         assert code == 1
         assert error_of(err)["code"] == "malformed_line"
+
+    @pytest.mark.parametrize("text, motion, code", [
+        ([[1.0, "2", 3.0], [1.0, 2.0, 3.0]], [[1.0, 3.0, 2.0]] * 2, "malformed_line"),
+        ([1.0, 2.0, 10 ** 400], [1.0, 3.0, 2.0], "non_finite_value"),
+        ([[1.0, 2.0, 10 ** 400], [1.0, 2.0, 3.0]], [[1.0, 3.0, 2.0]] * 2, "non_finite_value"),
+        ([[1.0, True, 3.0], [1.0, 2.0, 3.0]], [[1.0, 3.0, 2.0]] * 2, "malformed_line"),
+        ([[[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0, 3.0, 4.0]], [[1.0, 3.0, 2.0, 4.0]] * 2,
+         "malformed_line"),
+    ], ids=["string", "huge-int-flat", "huge-int-nested", "bool-nested", "deep-nesting"])
+    def test_non_number_rejected(self, run_cli, tmp_path, text, motion, code):
+        text_path = self.write_series(tmp_path, "text.json", text)
+        motion_path = self.write_series(tmp_path, "motion.json", motion)
+        f1_path = self.write_series(tmp_path, "f1.json", motion)
+        status, stdout, err = run_cli(
+            "correlate", "--text", text_path, "--motion", motion_path, "--f1", f1_path
+        )
+        assert status == 1
+        assert "Traceback" not in err
+        error = error_of(err)
+        assert error["code"] == code
+        assert str(text_path) in error["message"]
+        assert stdout == ""
 
     def test_degenerate_series_is_domain_error(self, run_cli, tmp_path):
         text = self.write_series(tmp_path, "text.json", [1.0, 1.0, 1.0])

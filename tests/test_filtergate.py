@@ -15,6 +15,7 @@ from divsat import (
     FilterVerdict,
     JudgeError,
     LabelMismatch,
+    MalformedLine,
     MissingVerdict,
     UnknownVerdictId,
     UnparseableLine,
@@ -263,6 +264,12 @@ class TestRunFilter:
             run_filter("walking", captions(1), judge, retries=2)
         assert judge.calls == 3
 
+    def test_negative_retries_rejected(self):
+        judge = self.ScriptedJudge(["1. yes"])
+        with pytest.raises(ValueError):
+            run_filter("walking", captions(1), judge, retries=-1)
+        assert judge.calls == 0
+
 
 class TestExternalJudge:
     def test_echo_stub_all_keep(self, stub_script):
@@ -339,3 +346,38 @@ class TestIo:
             "t.jsonl", [{"id": "a", "relevant": True}, {"id": "b", "relevant": False}]
         )
         assert load_truth(path) == {"a": True, "b": False}
+
+    # each loader with the fields a valid line of its file carries besides "id"
+    LOADERS = {
+        "captions": (load_captions, {"caption": "t", "activity": "x"}),
+        "verdicts": (load_verdicts, {"keep": True}),
+        "truth": (load_truth, {"relevant": False}),
+    }
+
+    @pytest.mark.parametrize("loader, field", [(load_verdicts, "keep"), (load_truth, "relevant")])
+    @pytest.mark.parametrize("value", [1, "yes", None])
+    def test_flag_must_be_a_bool(self, write_jsonl, loader, field, value):
+        path = write_jsonl("f.jsonl", [{"id": "a", field: True}, {"id": "b", field: value}])
+        with pytest.raises(MalformedLine, match=f"^line 2: '{field}' must be true or false$"):
+            loader(path)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @pytest.mark.parametrize("row_id", [{}, {"id": ""}, {"id": 7}, {"id": None}],
+                             ids=["missing", "empty", "int", "null"])
+    def test_id_must_be_a_non_empty_string(self, write_jsonl, kind, row_id):
+        loader, fields = self.LOADERS[kind]
+        path = write_jsonl("f.jsonl", [{"id": "a", **fields}, {**row_id, **fields}])
+        with pytest.raises(MalformedLine, match="^line 2: 'id' must be a non-empty string$"):
+            loader(path)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_repeated_id_cites_its_line(self, write_jsonl, kind):
+        loader, fields = self.LOADERS[kind]
+        path = write_jsonl("f.jsonl", [{"id": i, **fields} for i in ("a", "b", "a")])
+        with pytest.raises(DuplicateId, match="^line 3: .* id 'a' repeated$"):
+            loader(path)
+
+    def test_caption_activity_must_be_non_empty(self, write_jsonl):
+        path = write_jsonl("caps.jsonl", [{"id": "a", "caption": "t", "activity": ""}])
+        with pytest.raises(MalformedLine, match="^line 1: 'activity' must be a non-empty string$"):
+            load_captions(path)
