@@ -13,8 +13,6 @@ and the first use of a name imports the submodule that defines it.
 """
 
 import importlib
-import sys
-import types
 
 from . import errors
 
@@ -52,7 +50,7 @@ _SUBMODULE = {
             "load_captions", "load_truth", "load_verdicts", "parse_filter_response",
             "run_filter", "write_verdicts",
         ),
-        "mmd": (
+        "kernel": (
             "MEDIAN_HEURISTIC", "KernelConfig", "MmdEstimate", "gaussian_kernel",
             "median_heuristic", "mmd", "mmd_calculator", "resolve_bandwidth",
         ),
@@ -84,16 +82,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-class _Package(types.ModuleType):
-    def __setattr__(self, name: str, value) -> None:
-        # The import system binds a submodule on its package when it first
-        # loads it. ``mmd`` names both a submodule and the public function
-        # in it; whatever loads the submodule first, the name stays the
-        # function, which __getattr__ resolves.
-        if isinstance(value, types.ModuleType) and _SUBMODULE.get(name) == name:
-            return
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -100,7 +100,7 @@ class External:
         payload = None if input_text is None else input_text.encode("utf-8")
         try:
             proc = subprocess.run(argv, input=payload, capture_output=True, timeout=self._timeout)
-        except (FileNotFoundError, PermissionError) as exc:
+        except OSError as exc:
             raise SpawnError(f"cannot launch {argv[0]!r}: {exc}") from None
         except subprocess.TimeoutExpired:
             raise self.failure(f"{argv[0]!r} timed out after {self._timeout}s") from None

@@ -33,7 +33,7 @@ from .errors import (
 if TYPE_CHECKING:
     from .diversity import DiversityScore
     from .embedset import EmbeddingSet
-    from .mmd import KernelConfig
+    from .kernel import KernelConfig
 
 # Each handler imports the divsat modules it runs, so a process pays only
 # for its subcommand: --version, usage errors, filter run and eval and the
@@ -227,7 +227,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _kernel_from_args(args: argparse.Namespace) -> KernelConfig:
-    from .mmd import KernelConfig
+    from .kernel import KernelConfig
 
     return KernelConfig() if args.bandwidth is None else KernelConfig(bandwidth=args.bandwidth)
 
@@ -273,7 +273,7 @@ def cmd_diversity(args: argparse.Namespace) -> dict:
 
 def cmd_mmd(args: argparse.Namespace) -> dict:
     from .embedset import load_set
-    from .mmd import mmd_calculator
+    from .kernel import mmd_calculator
 
     kernel = _kernel_from_args(args)
     x = load_set(args.x)
@@ -298,6 +298,17 @@ def _external(factory, command: str, flag: str, timeout: float):
         return factory(command, timeout=timeout)
     except SpawnError as exc:
         raise UsageError(f"{flag}: {exc}") from None
+
+
+def _check_writable(path: str, flag: str) -> None:
+    """Fail before any work when ``path`` cannot be written; create and truncate nothing."""
+    folder = os.path.dirname(path) or "."
+    if os.path.exists(path):
+        ok = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        ok = os.path.isdir(folder) and os.access(folder, os.W_OK)
+    if not ok:
+        raise IoError(f"{flag}: cannot write {path!r}: a directory, or not in a writable one")
 
 
 def cmd_saturate(args: argparse.Namespace) -> dict:
@@ -327,6 +338,9 @@ def cmd_saturate(args: argparse.Namespace) -> dict:
     else:
         initial = args.init_count
         initial_size = args.init_count
+    _check_writable(args.out, "--out")
+    if args.trace:
+        _check_writable(args.trace, "--trace")
     context = {"activity": args.activity} if args.activity else None
     try:
         final, trace = run_saturation(
@@ -403,10 +417,7 @@ def _bump_state(path: str | None, amount: int) -> int:
 
 def cmd_synth_provider(args: argparse.Namespace) -> None:
     """Write the role's wire lines to stdout, or none of them on a failure."""
-    from .synth import GaussianSpec
-
     mean = _parse_vector(args.mean, args.k, "--mean")
-    spec = GaussianSpec(k=args.k, sigma=args.sigma, mean=mean, seed=args.seed)
     drift = _parse_vector(args.drift, args.k, "--drift")
     if args.role == "provider":
         if args.count is None:
@@ -420,8 +431,10 @@ def cmd_synth_provider(args: argparse.Namespace) -> None:
     # embedder role: one call embeds one batch; the persisted counter says
     # how many batches came before, which positions the drifting mean
     from ._proc import json_objects, split_lines
-    from .synth import token_vector
+    from .embedset import _row_json
+    from .synth import GaussianSpec, token_vector
 
+    spec = GaussianSpec(k=args.k, sigma=args.sigma, mean=mean, seed=args.seed)
     calls_before = _bump_state(args.state, 1)
     offset = None
     if drift is not None:
@@ -435,11 +448,8 @@ def cmd_synth_provider(args: argparse.Namespace) -> None:
         if "text" not in obj:
             raise MalformedLine(f"stdin line {i + 1}: expected an object with \"text\"")
         vec = token_vector(str(obj["text"]), spec, offset=offset)
-        record_id = obj.get("id", i)
-        out_lines.append(
-            json.dumps({"id": str(record_id), "vector": [float(v) for v in vec]}) + "\n"
-        )
-    sys.stdout.writelines(out_lines)
+        out_lines.append(_row_json(str(obj.get("id", i)), vec.tolist(), None, None) + "\n")
+    sys.stdout.buffer.write("".join(out_lines).encode("utf-8"))
 
 
 def cmd_filter_run(args: argparse.Namespace) -> dict:
@@ -586,6 +596,10 @@ def dispatch(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         result = args.handler(args)
         duration = time.perf_counter() - start
+        try:
+            json.dumps(result, allow_nan=False)
+        except ValueError:
+            raise NonFiniteValue("the result holds NaN or an infinity") from None
     except UsageError as exc:
         print(f"divsat: {exc}", file=sys.stderr)
         return 2

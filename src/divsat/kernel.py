@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedset import EmbeddingSet, _same_dimension
-from .errors import DimensionMismatch, InvalidRepetitions, SizeMismatch
+from .errors import DimensionMismatch, InvalidRepetitions, NonFiniteValue, SizeMismatch
 from .rng import make_rng
 
 MEDIAN_HEURISTIC = "median-heuristic"
@@ -143,7 +143,10 @@ class _Pairs:
             run = np.concatenate(group) if group else np.empty(0)
             run.sort()
             runs.append(run[np.searchsorted(run, 0.0, "right"):])
-        return _weighted_median(runs, (4, 2, 1) if self.prefix else (1, 1, 1))
+        median = _weighted_median(runs, (4, 2, 1) if self.prefix else (1, 1, 1))
+        if not math.isfinite(median):
+            raise NonFiniteValue("the median pair distance overflows to infinity")
+        return median
 
     def sums(self, bandwidth: float, counts: np.ndarray):
         """Kernel sums for each row c of ``counts`` (one weight per S point).
@@ -217,7 +220,8 @@ def median_heuristic(x_set: EmbeddingSet, y_set: EmbeddingSet) -> float:
     """Median pairwise Euclidean distance over the pooled records.
 
     Zero-distance pairs are excluded; if every pairwise distance is zero the
-    heuristic has nothing to measure and falls back to 1.0.
+    heuristic has nothing to measure and falls back to 1.0. A median that
+    overflows to infinity raises NonFiniteValue.
     """
     _same_dimension(x_set, y_set)
     return _Pairs(x_set.vectors, y_set.vectors).median()
@@ -252,6 +256,7 @@ def mmd(
     Raises:
         SizeMismatch: the sets differ in size (use :func:`mmd_calculator`).
         DimensionMismatch: the sets differ in dimension.
+        NonFiniteValue: the median-heuristic bandwidth overflows to infinity.
     """
     _same_dimension(x_set, y_set)
     if x_set.size != y_set.size:

@@ -28,7 +28,7 @@ from .errors import (
     ProtocolError,
     ProviderError,
 )
-from .mmd import KernelConfig, MmdEstimate, mmd_calculator
+from .kernel import KernelConfig, MmdEstimate, mmd_calculator
 from ._proc import External, json_objects, split_lines, write_lines
 from .rng import as_uint64
 
@@ -263,7 +263,7 @@ def run_saturation(
             estimate = estimator(state.embeddings, combined, cfg, as_uint64(cfg.seed ^ iteration))
             state, step = _advance(state, estimate, combined, batch.size)
             steps.append(step)
-            log.debug(
+            log.info(
                 "iteration %d: n=%d score=%.6g sd=%.6g window=(%.6g, %.6g) streak=%d",
                 iteration, state.embeddings.size, estimate.mean, estimate.stddev,
                 state.range_min, state.range_max, state.stop_condition,

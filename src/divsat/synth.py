@@ -8,20 +8,16 @@ sampler over that pinned generator.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
+import numpy as np
+
+from .embedset import EmbeddingSet
 from .errors import EmptySet, NonFiniteValue
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .embedset import EmbeddingSet
-
-# numpy, the modules built on it and hashlib are imported by the functions
-# that draw: a spec is plain Python, so the synth-provider provider role,
-# which only prints tokens, starts without them.
+from .rng import make_rng
 
 
 @dataclass(frozen=True)
@@ -50,8 +46,6 @@ class GaussianSpec:
         object.__setattr__(self, "mean", mean)
 
     def mean_vector(self) -> np.ndarray:
-        import numpy as np
-
         return np.array(self.mean, dtype=np.float64)
 
 
@@ -73,9 +67,6 @@ def gaussian_set(spec: GaussianSpec, n: int) -> EmbeddingSet:
     """n i.i.d. draws from ``spec``'s Gaussian, ids ``g0`` .. ``g{n-1}``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    from .embedset import EmbeddingSet
-    from .rng import make_rng
-
     rng = make_rng(spec.seed)
     z = rng.standard_normal((n, spec.k))
     values = spec.mean_vector() + spec.sigma * z
@@ -92,10 +83,6 @@ class SyntheticSource:
     """
 
     def __init__(self, spec: GaussianSpec, drift: Sequence[float] | None = None):
-        import numpy as np
-
-        from .rng import make_rng
-
         self._spec = spec
         self._rng = make_rng(spec.seed)
         self._mean = spec.mean_vector()
@@ -119,8 +106,6 @@ class SyntheticSource:
         n = len(items)
         if n == 0:
             raise EmptySet("cannot embed an empty batch")
-        from .embedset import EmbeddingSet
-
         z = self._rng.standard_normal((n, self._spec.k))
         values = self._mean + self._spec.sigma * z
         ids = [f"g{self._draw_counter + i}" for i in range(n)]
@@ -147,12 +132,6 @@ def token_vector(text: str, spec: GaussianSpec, offset: Sequence[float] | None =
     A draw that overflows to infinity (a huge sigma, mean or offset) raises
     NonFiniteValue.
     """
-    import hashlib
-
-    import numpy as np
-
-    from .rng import make_rng
-
     digest = hashlib.blake2b(
         f"{spec.seed}|{text}".encode("utf-8"), digest_size=8
     ).digest()

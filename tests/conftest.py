@@ -61,6 +61,15 @@ def stub_script(tmp_path):
 
 
 @pytest.fixture
+def not_a_program(tmp_path):
+    """An executable file the operating system cannot run: no "#!" line, no binary format."""
+    path = tmp_path / "not-a-program"
+    path.write_bytes(b"\x00\x01 plain bytes\n")
+    path.chmod(0o755)
+    return str(path)
+
+
+@pytest.fixture
 def write_jsonl(tmp_path):
     def _write(name, rows):
         path = tmp_path / name

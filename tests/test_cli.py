@@ -17,11 +17,13 @@ import numpy as np
 import pytest
 
 from divsat import (
+    EmbeddingSet,
     KernelConfig,
     __version__,
     diversity_report,
     load_set,
     mmd_calculator,
+    write_set,
 )
 from divsat.cli import build_parser
 from divsat.synth import GaussianSpec, gaussian_set, token_vector
@@ -92,6 +94,20 @@ class TestDispatch:
         error = error_of(err)
         assert error["code"] == "malformed_line"
         assert str(bad) in error["message"] and "UTF-8" in error["message"]
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    @pytest.mark.parametrize("command", ["diversity", "impact", "mmd"])
+    def test_non_finite_result_is_domain_error(self, run_cli, write_jsonl, command, fmt):
+        # finite rows whose squared spread overflows to infinity
+        rows = write_jsonl("big.jsonl", [{"id": "a", "vector": [1e200, 1]},
+                                         {"id": "b", "vector": [-1e200, 2]}])
+        files = (rows,) if command == "diversity" else (rows, rows)
+        code, out, err = run_cli(command, *files, "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        # numpy's overflow warning may come first; the error object ends stderr
+        assert json.loads(err.splitlines()[-1])["error"]["code"] == "non_finite_value"
 
 
 def options_of(parser):
@@ -341,6 +357,13 @@ class TestSynthCommand:
         got = load_set(out)
         assert np.array_equal(got.vectors, expected.vectors)
 
+    def test_out_is_a_directory_is_io_error(self, run_cli, tmp_path):
+        code, stdout, err = run_cli("synth", "--k", 2, "--n", 3, "--out", tmp_path)
+        assert code == 1
+        assert "Traceback" not in err
+        assert error_of(err)["code"] == "io_error"
+        assert stdout == ""
+
     def test_mean_shift_broadcast(self, run_cli, tmp_path):
         out = tmp_path / "m.jsonl"
         code, stdout, err = run_cli(
@@ -542,6 +565,16 @@ class TestSynthProviderCommand:
         assert len(outs[0].splitlines()) == 2
         assert outs[1] == outs[0]
 
+    def test_embedder_writes_records_as_write_set_does(self, run_cli, tmp_path):
+        code, out, err = run_cli(
+            "synth-provider", "--role", "embedder", "--k", 2, "--seed", 3,
+            stdin='{"id": "café", "text": "a"}\n'.encode("utf-8"),
+        )
+        assert code == 0, err
+        vector = token_vector("a", GaussianSpec(k=2, seed=3))
+        write_set(EmbeddingSet.from_array(vector[None, :], ids=["café"]), tmp_path / "want.jsonl")
+        assert out == (tmp_path / "want.jsonl").read_text(encoding="utf-8")
+
     def test_embedder_rejects_stdin_that_is_not_utf8(self, run_cli):
         code, out, err = run_cli(
             "synth-provider", "--role", "embedder", "--k", 2, stdin=b'{"text": "a\xff"}\n'
@@ -608,6 +641,36 @@ class TestSaturateCommand:
         # the line format the benchmark harness parses to time iterations
         found = re.findall(r"^divsat\.saturation: iteration (\d+): n=\d+ ", err, re.MULTILINE)
         assert found == ["1", "2"]
+
+    def test_single_verbose_logs_each_iteration(self, run_cli, tmp_path):
+        state, out_path, trace_path, args = self.saturate_args(tmp_path, "v", max_iter=2)
+        code, stdout, err = run_cli(*args, "-v", timeout=300)
+        assert code == 0, err
+        found = re.findall(r"^divsat\.saturation: iteration (\d+): n=\d+ ", err, re.MULTILINE)
+        assert found == ["1", "2"]
+
+    @pytest.mark.parametrize("kind", ["directory", "missing-directory"])
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_unwritable_output_fails_before_the_provider_runs(self, run_cli, tmp_path, flag, kind):
+        state, out_path, trace_path, args = self.saturate_args(tmp_path, "unwritable")
+        out_path.write_text("kept\n")
+        bad = tmp_path if kind == "directory" else tmp_path / "no-such-dir" / "x.jsonl"
+        replaced = out_path if flag == "--out" else trace_path
+        code, stdout, err = run_cli(*[bad if a == replaced else a for a in args], timeout=300)
+        assert code == 1
+        error = error_of(err)
+        assert error["code"] == "io_error" and error["message"].startswith(flag)
+        assert not state.exists()
+        assert out_path.read_text() == "kept\n"
+
+    def test_provider_that_cannot_launch_is_spawn_error(self, run_cli, tmp_path, not_a_program):
+        state, out_path, trace_path, args = self.saturate_args(tmp_path, "spawn")
+        argv = list(args)
+        argv[argv.index("--provider") + 1] = quoted(not_a_program)
+        code, stdout, err = run_cli(*argv, timeout=300)
+        assert code == 1
+        assert "Traceback" not in err
+        assert error_of(err)["code"] == "spawn_error"
 
     def test_runs_are_reproducible(self, run_cli, tmp_path):
         state, out_path, trace_path, args = self.saturate_args(tmp_path, "rep")
@@ -941,6 +1004,18 @@ class TestFilterCommands:
         rows = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(rows) == 12
         assert {r["id"]: r["keep"] for r in rows}["c3"] is False
+
+    def test_judge_that_cannot_launch_is_spawn_error(
+        self, run_cli, write_jsonl, tmp_path, not_a_program
+    ):
+        captions = self.write_captions(write_jsonl, n=2)
+        code, stdout, err = run_cli(
+            "filter", "run", "--activity", "walking", "--captions", captions,
+            "--judge", quoted(not_a_program), "--out", tmp_path / "verdicts.jsonl",
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        assert error_of(err)["code"] == "spawn_error"
 
     def test_run_skips_other_activities(self, run_cli, write_jsonl, stub_script, tmp_path):
         rows = [

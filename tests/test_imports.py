@@ -76,9 +76,9 @@ def test_lean_commands_load_no_numpy(lean_commands, command):
 def test_mmd_stays_the_function_whatever_loads_the_submodule():
     for script in (
         "import divsat.saturation, divsat; f = divsat.mmd",
-        "import divsat.mmd; from divsat import mmd as f",
+        "import divsat.kernel; from divsat import mmd as f",
         "from divsat import mmd_calculator, mmd as f; import divsat.saturation",
-        "import divsat; f = divsat.mmd; import divsat.mmd; f = divsat.mmd",
+        "import divsat; f = divsat.mmd; import divsat.kernel; f = divsat.mmd",
     ):
         proc = subprocess.run(
             [sys.executable, "-c", f"{script}; import types; "
@@ -86,6 +86,13 @@ def test_mmd_stays_the_function_whatever_loads_the_submodule():
             capture_output=True, text=True, env=_child_env(), timeout=120,
         )
         assert proc.returncode == 0, (script, proc.stderr)
+
+
+def test_no_submodule_is_named_after_a_public_name():
+    # importing a submodule binds it on the package, which would replace a
+    # public name of the same spelling; ``errors`` is both on purpose
+    modules = {p.stem for p in (SRC / "divsat").glob("*.py")}
+    assert modules & set(divsat.__all__) == {"errors"}
 
 
 # the public names as they were when every submodule loaded eagerly
@@ -209,8 +216,8 @@ def numpy_backed_modules():
 
 
 def test_numpy_backed_modules_are_found():
-    assert {"embedset", "mmd", "rng", "saturation"} <= numpy_backed_modules()
-    assert not {"errors", "_proc", "cli", "filtergate", "synth"} & numpy_backed_modules()
+    assert {"embedset", "kernel", "rng", "saturation", "synth"} <= numpy_backed_modules()
+    assert not {"errors", "_proc", "cli", "filtergate"} & numpy_backed_modules()
 
 
 @pytest.mark.parametrize("name", ["__init__.py", "cli.py", "errors.py", "_proc.py"])

@@ -13,6 +13,7 @@ from divsat import (
     EmbeddingSet,
     InvalidRepetitions,
     KernelConfig,
+    NonFiniteValue,
     SizeMismatch,
     gaussian_kernel,
     median_heuristic,
@@ -102,6 +103,15 @@ class TestMedianHeuristic:
         x = as_set(rows[:8])
         y = as_set(rows[8:], prefix="y")
         assert median_heuristic(x, y) == pytest.approx(oracle_median(rows), abs=1e-12)
+
+    def test_overflowing_distances_are_non_finite(self):
+        # finite rows whose squared distance overflows to infinity
+        x = as_set([[1e200, 1.0], [-1e200, 2.0]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteValue):
+                median_heuristic(x, x)
+            with pytest.raises(NonFiniteValue):
+                mmd(x, x)
 
     def test_resolve_bandwidth(self):
         x = as_set([[0.0, 0.0]])

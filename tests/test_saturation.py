@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from divsat import (
+    CaptionItem,
     DimensionMismatch,
     DriftSpec,
     DuplicateId,
@@ -18,6 +19,7 @@ from divsat import (
     SaturationState,
     SpawnError,
     StopReason,
+    build_filter_prompts,
     drifting_provider,
     external_embedder,
     external_judge,
@@ -426,6 +428,31 @@ class TestExternal:
         for wrap in (external_provider, external_embedder, external_judge):
             with pytest.raises(SpawnError):
                 wrap(command)
+
+    def test_command_that_cannot_launch_is_spawn_error(self, not_a_program, tmp_path):
+        prompt = build_filter_prompts("walking", [CaptionItem("a", "a person walks", "walking")])[0]
+        for command in ([not_a_program], [str(tmp_path / "missing")]):
+            with pytest.raises(SpawnError):
+                external_provider(command).next_batch(1)
+            with pytest.raises(SpawnError):
+                external_embedder(command).embed(["a"])
+            with pytest.raises(SpawnError):
+                external_judge(command).judge(prompt)
+
+    def test_stub_provider_past_its_timeout(self, stub_script):
+        argv = stub_script("import time\ntime.sleep(60)\n")
+        with pytest.raises(ProviderError, match="timed out after 0.5s"):
+            external_provider(argv, timeout=0.5).next_batch(1)
+
+    def test_stub_provider_text_must_be_a_string(self, stub_script):
+        argv = stub_script("""print('{"text": 5}')\n""")
+        with pytest.raises(ProtocolError, match='"text" must be a string'):
+            external_provider(argv).next_batch(1)
+
+    def test_stub_embedder_malformed_line(self, stub_script):
+        argv = stub_script('print("not json")\n')
+        with pytest.raises(ProtocolError, match="embedder line 1"):
+            external_embedder(argv).embed(["a"])
 
     def test_stub_provider_malformed_line(self, stub_script):
         argv = stub_script('print("not json")\n')
