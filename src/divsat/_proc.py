@@ -3,10 +3,13 @@ JSON Lines helpers they share with the file loaders."""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import shlex
+import signal
 import subprocess
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DivsatError, IoError, MalformedLine, ProtocolError, SpawnError
 
@@ -96,19 +99,61 @@ class External:
 
     def _run(self, *extra_args: str, input_text: str | None = None) -> str:
         """Run the command with ``extra_args`` appended; return its stdout."""
+        with self._started(*extra_args) as finish:
+            return finish(input_text)
+
+    @contextlib.contextmanager
+    def _started(self, *extra_args: str) -> Iterator[Callable[[str | None], str]]:
+        """Launch the command now; yield the call that writes its input and returns its stdout.
+
+        A launch failure is raised by that call, not here, and the timeout
+        counts from it. However the block ends, a child still running is
+        then killed with its process group, and reaped: one the call never
+        reached has read no input.
+        """
         argv = [*self._argv, *extra_args]
+        try:
+            proc = subprocess.Popen(
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                start_new_session=True,
+            )
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in an argument
+            launch_error = SpawnError(f"cannot launch {argv[0]!r}: {exc}")
+
+            def failed(input_text: str | None) -> str:
+                raise launch_error
+
+            yield failed
+            return
+        try:
+            yield lambda input_text: self._finish(proc, argv[0], input_text)
+        finally:
+            _discard(proc)
+
+    def _finish(self, proc: subprocess.Popen, name: str, input_text: str | None) -> str:
         payload = None if input_text is None else input_text.encode("utf-8")
         try:
-            proc = subprocess.run(argv, input=payload, capture_output=True, timeout=self._timeout)
-        except OSError as exc:
-            raise SpawnError(f"cannot launch {argv[0]!r}: {exc}") from None
+            stdout, stderr = proc.communicate(payload, timeout=self._timeout)
         except subprocess.TimeoutExpired:
-            raise self.failure(f"{argv[0]!r} timed out after {self._timeout}s") from None
+            raise self.failure(f"{name!r} timed out after {self._timeout}s") from None
         if proc.returncode != 0:
-            tail = proc.stderr.decode("utf-8", "replace").strip().splitlines()[-5:]
+            tail = stderr.decode("utf-8", "replace").strip().splitlines()[-5:]
             detail = " | ".join(tail) if tail else "no stderr"
-            raise self.failure(f"{argv[0]!r} exited {proc.returncode}: {detail}")
+            raise self.failure(f"{name!r} exited {proc.returncode}: {detail}")
         try:
-            return proc.stdout.decode("utf-8")
+            return stdout.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ProtocolError(f"{argv[0]!r} wrote output that is not UTF-8: {exc}") from None
+            raise ProtocolError(f"{name!r} wrote output that is not UTF-8: {exc}") from None
+
+
+def _discard(proc: subprocess.Popen) -> None:
+    """Kill the child's process group unless the child has exited, close its pipes, and reap it."""
+    # The child leads its own group, so whatever a wrapper script started dies
+    # with it; killed before its stdin closes, none of them sees EOF and runs
+    # an empty batch.
+    if proc.poll() is None:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    for pipe in (proc.stdin, proc.stdout, proc.stderr):
+        pipe.close()
+    proc.wait()

@@ -435,14 +435,16 @@ def cmd_synth_provider(args: argparse.Namespace) -> None:
     from .synth import GaussianSpec, token_vector
 
     spec = GaussianSpec(k=args.k, sigma=args.sigma, mean=mean, seed=args.seed)
-    calls_before = _bump_state(args.state, 1)
-    offset = None
-    if drift is not None:
-        offset = [v * float(calls_before) for v in drift]
     try:
         text = sys.stdin.buffer.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedLine(f"stdin is not valid UTF-8: {exc}") from None
+    # Counted only once the batch has arrived: a child started ahead of its
+    # batch and killed when none came leaves the counter as it was.
+    calls_before = _bump_state(args.state, 1)
+    offset = None
+    if drift is not None:
+        offset = [v * float(calls_before) for v in drift]
     out_lines = []
     for i, obj in json_objects(split_lines(text), MalformedLine, "stdin line"):
         if "text" not in obj:

@@ -65,18 +65,21 @@ def diversity_report(embeddings: EmbeddingSet) -> DiversityScore:
     any axis short circuits to 0.0 before the log.
     """
     values = embeddings.vectors
-    means = values.mean(axis=0)
-    squares = values - means
-    squares *= squares
-    stddevs = np.sqrt(squares.sum(axis=0) / len(values))
-    # A constant axis must report sigma exactly 0 (and its constant as the
-    # mean); summing n identical floats can otherwise leave an ulp of noise.
-    constant = values.max(axis=0) == values.min(axis=0)
-    centroid_metric = 0.0 if constant.all() else float(squares.sum(axis=1).mean())
-    if constant.any():
-        means = np.where(constant, values[0], means)
-        stddevs = np.where(constant, 0.0, stddevs)
-    std_metric = 0.0 if np.any(stddevs == 0.0) else float(np.exp(np.mean(np.log(stddevs))))
+    # Sums or squares that overflow leave an infinity or NaN in the report,
+    # which callers reject as non-finite; numpy is not to warn on stderr too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = values.mean(axis=0)
+        squares = values - means
+        squares *= squares
+        stddevs = np.sqrt(squares.sum(axis=0) / len(values))
+        # A constant axis must report sigma exactly 0 (and its constant as the
+        # mean); summing n identical floats can otherwise leave an ulp of noise.
+        constant = values.max(axis=0) == values.min(axis=0)
+        centroid_metric = 0.0 if constant.all() else float(squares.sum(axis=1).mean())
+        if constant.any():
+            means = np.where(constant, values[0], means)
+            stddevs = np.where(constant, 0.0, stddevs)
+        std_metric = 0.0 if np.any(stddevs == 0.0) else float(np.exp(np.mean(np.log(stddevs))))
     return DiversityScore(
         std_metric=std_metric,
         centroid_metric=centroid_metric,

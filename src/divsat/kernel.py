@@ -117,10 +117,13 @@ class _Pairs:
         (i0, i1), (j0, j1) = rows, cols
         out = np.zeros((i1 - i0, j1 - j0))
         diff = np.empty_like(out)
-        for coord in self.coords:
-            np.subtract(coord[i0:i1, None], coord[None, j0:j1], out=diff)
-            np.multiply(diff, diff, out=diff)
-            out += diff
+        # An overflow leaves an infinite distance: a zero kernel entry, and a
+        # median() that raises NonFiniteValue.
+        with np.errstate(over="ignore"):
+            for coord in self.coords:
+                np.subtract(coord[i0:i1, None], coord[None, j0:j1], out=diff)
+                np.multiply(diff, diff, out=diff)
+                out += diff
         return out
 
     def median(self) -> float:

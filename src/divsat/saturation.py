@@ -12,12 +12,13 @@ or at the iteration cap.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Mapping, Protocol, Sequence, Union
+from typing import Callable, ContextManager, Iterator, Mapping, Protocol, Sequence, Union
 
 from .embedset import EmbeddingSet, _merge, _parse_lines
 from .errors import (
@@ -204,7 +205,9 @@ def run_saturation(
         initial: a non-empty starting EmbeddingSet, or an int n0 to
             bootstrap that many items from the provider first.
         provider, embedder: the growth loop's item source and vectorizer;
-            in-process objects or the external_* subprocess wrappers.
+            in-process objects or the external_* subprocess wrappers. An
+            external embedder's child is started before each provider call
+            and killed unread if no batch follows.
         cfg: loop parameters; the per-iteration MMD seed is ``cfg.seed``
             XOR the 1-based iteration number.
         context: optional string map passed to the provider (for example an
@@ -237,11 +240,12 @@ def run_saturation(
     reason = StopReason.SATURATED
     try:
         if isinstance(initial, int):
-            texts = _call(lambda: list(provider.next_batch(initial, context)), ProviderError,
-                          "provider failed during bootstrap")
-            if not texts:
-                raise ProviderError("provider produced no items during bootstrap")
-            initial = _embed(embedder, texts)
+            with _embedding(embedder) as embed:
+                texts = _call(lambda: list(provider.next_batch(initial, context)),
+                              ProviderError, "provider failed during bootstrap")
+                if not texts:
+                    raise ProviderError("provider produced no items during bootstrap")
+                initial = _embed(embed, texts)
         state = SaturationState(embeddings=initial)
         while state.stop_condition <= cfg.early_stop:
             if state.iteration >= cfg.max_iterations:
@@ -250,12 +254,13 @@ def run_saturation(
             iteration = state.iteration + 1
             base = initial.size if cfg.fixed_batch else state.embeddings.size
             count = max(1, math.ceil(cfg.perc * base))
-            texts = _call(lambda: list(provider.next_batch(count, context)), ProviderError,
-                          f"provider failed at iteration {iteration}")
-            if len(texts) == 0:
-                reason = StopReason.PROVIDER_EXHAUSTED
-                break
-            batch = _embed(embedder, texts)
+            with _embedding(embedder) as embed:
+                texts = _call(lambda: list(provider.next_batch(count, context)),
+                              ProviderError, f"provider failed at iteration {iteration}")
+                if len(texts) == 0:
+                    reason = StopReason.PROVIDER_EXHAUSTED
+                    break
+                batch = _embed(embed, texts)
             # Batch ids are prefixed with the iteration so batches never collide
             # with each other; an initial set can still hold such ids (an earlier
             # run's output passed back in), which raises DuplicateId here.
@@ -279,8 +284,17 @@ def run_saturation(
     return state.embeddings, SaturationTrace(steps=tuple(steps), reason=reason)
 
 
-def _embed(embedder: Embedder, texts: Sequence[str]) -> EmbeddingSet:
-    batch = _call(lambda: embedder.embed(texts), EmbedderError, "embedder failed")
+def _embedding(embedder: Embedder) -> ContextManager[Callable[[Sequence[str]], EmbeddingSet]]:
+    # The embed call for one batch. An external embedder's child starts here,
+    # before the provider call that makes its batch, so the two start-ups
+    # overlap; leaving the block without a batch kills and reaps it.
+    if isinstance(embedder, _ExternalEmbedder):
+        return embedder.started()
+    return contextlib.nullcontext(embedder.embed)
+
+
+def _embed(embed: Callable[[Sequence[str]], EmbeddingSet], texts: Sequence[str]) -> EmbeddingSet:
+    batch = _call(lambda: embed(texts), EmbedderError, "embedder failed")
     if batch.size != len(texts):
         raise EmbedderError(f"embedder returned {batch.size} records for {len(texts)} items")
     return batch
@@ -321,10 +335,20 @@ class _ExternalEmbedder(External):
     failure = EmbedderError
 
     def embed(self, items: Sequence[str]) -> EmbeddingSet:
-        payload = "\n".join(
-            json.dumps({"id": i, "text": text}) for i, text in enumerate(items)
-        )
-        stdout = self._run(input_text=payload + "\n")
+        with self.started() as embed:
+            return embed(items)
+
+    @contextlib.contextmanager
+    def started(self) -> Iterator[Callable[[Sequence[str]], EmbeddingSet]]:
+        """Launch the command now; yield ``embed`` for the one batch it will take.
+
+        A launch failure is raised by that call; see ``External._started``.
+        """
+        with self._started() as finish:
+            yield lambda items: self._records(finish(_embedder_input(items)), len(items))
+
+    @staticmethod
+    def _records(stdout: str, count: int) -> EmbeddingSet:
         try:
             batch = _parse_lines(split_lines(stdout), source="embedder output",
                                  where="embedder line")
@@ -332,11 +356,13 @@ class _ExternalEmbedder(External):
             raise
         except DivsatError as exc:
             raise ProtocolError(str(exc)) from None
-        if batch.size != len(items):
-            raise ProtocolError(
-                f"embedder returned {batch.size} records for {len(items)} items"
-            )
+        if batch.size != count:
+            raise ProtocolError(f"embedder returned {batch.size} records for {count} items")
         return batch
+
+
+def _embedder_input(items: Sequence[str]) -> str:
+    return "\n".join(json.dumps({"id": i, "text": text}) for i, text in enumerate(items)) + "\n"
 
 
 def external_provider(
@@ -360,5 +386,8 @@ def external_embedder(
     Per call the command receives one JSON object ``{"id": i, "text": ...}``
     per line on stdin and must print an equal count of embedding records
     (``{"vector": [...]}``, optional id) on stdout, order preserved.
+    ``run_saturation`` starts the command before the provider call that
+    makes its batch, and kills it unread when no batch follows; the
+    timeout counts from when the batch is written.
     """
     return _ExternalEmbedder(command, timeout)

@@ -105,9 +105,9 @@ class TestDispatch:
         code, out, err = run_cli(command, *files, "--format", fmt)
         assert code == 1
         assert out == ""
-        assert "Traceback" not in err
-        # numpy's overflow warning may come first; the error object ends stderr
-        assert json.loads(err.splitlines()[-1])["error"]["code"] == "non_finite_value"
+        # numpy's overflow warnings are silenced: stderr is the one error object
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["code"] == "non_finite_value"
 
 
 def options_of(parser):
@@ -671,6 +671,39 @@ class TestSaturateCommand:
         assert code == 1
         assert "Traceback" not in err
         assert error_of(err)["code"] == "spawn_error"
+
+    def test_exhaustion_leaves_the_embedder_counter_at_the_batches_embedded(
+        self, run_cli, tmp_path, stub_script
+    ):
+        # two batches, then nothing; the pause gives the embedder child started
+        # for that last call time to reach its read before it is killed
+        provider = stub_script(f"""
+            import argparse, json, os, time
+            p = argparse.ArgumentParser()
+            p.add_argument("--count", type=int, required=True)
+            a = p.parse_args()
+            calls = {str(tmp_path / "calls")!r}
+            done = int(open(calls).read()) if os.path.exists(calls) else 0
+            with open(calls, "w") as fh:
+                fh.write(str(done + 1))
+            if done == 3:
+                time.sleep(1)
+            for i in range(a.count if done < 3 else 0):
+                print(json.dumps({{"text": f"tok{{done}}_{{i}}"}}))
+            """)
+        state = tmp_path / "embedder.state"
+        embedder = quoted(sys.executable, "-m", "divsat", "synth-provider", "--role", "embedder",
+                          "--k", 4, "--state", state)
+        code, stdout, err = run_cli(
+            "saturate", "--init-count", 20, "--provider", quoted(*provider),
+            "--embedder", embedder, "--max-iter", 50, "--out", tmp_path / "final.jsonl",
+            timeout=300,
+        )
+        assert code == 0, err
+        result = report_of(stdout)["result"]
+        assert (result["reason"], result["iterations"]) == ("provider_exhausted", 2)
+        # the bootstrap and two iterations; the child started for the empty call never counted
+        assert state.read_text() == "3"
 
     def test_runs_are_reproducible(self, run_cli, tmp_path):
         state, out_path, trace_path, args = self.saturate_args(tmp_path, "rep")

@@ -1,4 +1,7 @@
 import json
+import os
+import shlex
+import time
 
 import numpy as np
 import pytest
@@ -431,7 +434,7 @@ class TestExternal:
 
     def test_command_that_cannot_launch_is_spawn_error(self, not_a_program, tmp_path):
         prompt = build_filter_prompts("walking", [CaptionItem("a", "a person walks", "walking")])[0]
-        for command in ([not_a_program], [str(tmp_path / "missing")]):
+        for command in ([not_a_program], [str(tmp_path / "missing")], ["py\0thon"]):
             with pytest.raises(SpawnError):
                 external_provider(command).next_batch(1)
             with pytest.raises(SpawnError):
@@ -548,6 +551,174 @@ class TestExternal:
             "iteration", "batch_size", "mmd_mean", "mmd_stddev",
             "in_window", "stop_condition", "range_min", "range_max",
         }
+
+
+# The embedder child records its pid in LAUNCHED as it starts, before it
+# reads any input, and appends its pid to FED once its batch has arrived.
+EARLY_EMBEDDER = """
+import json, os, sys
+with open({launched!r} + ".tmp", "w") as fh:
+    fh.write(str(os.getpid()))
+os.replace({launched!r} + ".tmp", {launched!r})
+rows = [json.loads(line) for line in sys.stdin if line.strip()]
+with open({fed!r}, "a") as fh:
+    fh.write(f"{{os.getpid()}}\\n")
+for row in rows:
+    print(json.dumps({{"id": str(row["id"]), "vector": [float(len(row["text"])), float(row["id"])]}}))
+"""
+
+# The provider fails unless an embedder child has started before it runs; it
+# moves that child's pid from LAUNCHED to SEEN, and past its first CALLS
+# calls it runs PAST_LIMIT instead of printing its batch.
+EARLY_PROVIDER = """
+import argparse, json, os, sys, time
+p = argparse.ArgumentParser()
+p.add_argument("--count", type=int, required=True)
+a = p.parse_args()
+deadline = time.monotonic() + 30
+while not os.path.exists({launched!r}):
+    if time.monotonic() > deadline:
+        sys.exit("no embedder child was started before the provider ran")
+    time.sleep(0.01)
+with open({launched!r}) as fh:
+    pid = fh.read()
+os.remove({launched!r})
+with open({seen!r}, "a") as fh:
+    fh.write(pid + "\\n")
+with open({seen!r}) as fh:
+    calls = len(fh.read().split())
+if calls > {calls}:
+    {past_limit}
+for i in range(a.count):
+    print(json.dumps({{"text": f"t{{calls}}_{{i}}"}}))
+"""
+
+
+def wait_for_launch(launched, seconds=30.0):
+    """The pid an early embedder child recorded in ``launched``; the file is removed."""
+    deadline = time.monotonic() + seconds
+    while not launched.exists():
+        assert time.monotonic() < deadline, "no embedder child was started"
+        time.sleep(0.01)
+    pid = int(launched.read_text())
+    launched.unlink()
+    return pid
+
+
+class TestEarlyLaunch:
+    """An external embedder's child starts before the provider call that makes its batch."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        return {name: tmp_path / name for name in ("launched", "seen", "fed")}
+
+    def commands(self, stub_script, files, calls=100, past_limit="pass"):
+        names = {name: str(path) for name, path in files.items()}
+        embedder = stub_script(EARLY_EMBEDDER.format(**names))
+        provider = stub_script(EARLY_PROVIDER.format(calls=calls, past_limit=past_limit, **names))
+        return provider, embedder
+
+    @staticmethod
+    def pids(path):
+        return [int(pid) for pid in path.read_text().split()] if path.exists() else []
+
+    def assert_reaped_unfed(self, pid, files):
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+        assert pid not in self.pids(files["fed"])
+        assert not files["launched"].exists()
+
+    def test_embedder_starts_before_the_provider_runs(self, stub_script, files):
+        provider, embedder = self.commands(stub_script, files)
+        final, trace = run_saturation(
+            4, external_provider(provider), external_embedder(embedder),
+            SaturationConfig(seed=0, max_iterations=2),
+        )
+        assert (trace.iterations, trace.reason) == (2, StopReason.MAX_ITERATIONS)
+        assert final.size == 4 + 1 + 1
+        # bootstrap plus two iterations: each child started early was fed its batch
+        assert self.pids(files["seen"]) == self.pids(files["fed"])
+        assert len(self.pids(files["fed"])) == 3
+        assert not files["launched"].exists()
+
+    def test_child_is_killed_unfed_on_exhaustion(self, stub_script, files):
+        provider, embedder = self.commands(stub_script, files, calls=2, past_limit="sys.exit()")
+        final, trace = run_saturation(
+            4, external_provider(provider), external_embedder(embedder),
+            SaturationConfig(seed=0, max_iterations=50),
+        )
+        assert (trace.iterations, trace.reason) == (1, StopReason.PROVIDER_EXHAUSTED)
+        seen = self.pids(files["seen"])
+        assert len(seen) == 3
+        self.assert_reaped_unfed(seen[-1], files)
+
+    def test_wrapper_script_children_are_killed_with_it(self, stub_script, files):
+        provider, embedder = self.commands(stub_script, files, calls=2, past_limit="sys.exit()")
+        # "|| exit" keeps sh from exec-ing the stub: the stub is sh's child
+        wrapped = ["sh", "-c", f"{shlex.join(embedder)} || exit 1"]
+        _, trace = run_saturation(
+            4, external_provider(provider), external_embedder(wrapped),
+            SaturationConfig(seed=0, max_iterations=50),
+        )
+        assert (trace.iterations, trace.reason) == (1, StopReason.PROVIDER_EXHAUSTED)
+        last = self.pids(files["seen"])[-1]
+        # a stub left running would read EOF on its closed stdin and record itself
+        time.sleep(1)
+        assert self.pids(files["fed"]) == self.pids(files["seen"])[:-1]
+        assert last not in self.pids(files["fed"])
+
+    def test_child_is_killed_unfed_on_provider_failure(self, stub_script, files):
+        provider, embedder = self.commands(
+            stub_script, files, calls=1, past_limit="sys.exit('backend gone')")
+        with pytest.raises(ProviderError, match="backend gone") as ei:
+            run_saturation(4, external_provider(provider), external_embedder(embedder),
+                           SaturationConfig(seed=0, max_iterations=50))
+        assert len(ei.value.trace_steps) == 0
+        assert ei.value.partial_set.size == 4
+        seen = self.pids(files["seen"])
+        assert len(seen) == 2
+        self.assert_reaped_unfed(seen[-1], files)
+
+    def test_child_is_killed_unfed_on_interrupt(self, stub_script, files):
+        _, embedder = self.commands(stub_script, files)
+        pids = []
+
+        class Interrupted:
+            def next_batch(self, count, context=None):
+                pids.append(wait_for_launch(files["launched"]))
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_saturation(4, Interrupted(), external_embedder(embedder))
+        self.assert_reaped_unfed(pids[0], files)
+
+    @pytest.mark.parametrize("provider_fails, error", [(True, ProviderError), (False, SpawnError)])
+    def test_launch_failure_is_raised_where_the_embed_runs(
+        self, stub_script, tmp_path, provider_fails, error
+    ):
+        provider = stub_script(
+            "import sys\nsys.exit('backend gone')\n" if provider_fails else
+            "import json\nprint(json.dumps({'text': 'a'}))\n"
+        )
+        with pytest.raises(error) as ei:
+            run_saturation(1, external_provider(provider),
+                           external_embedder([str(tmp_path / "missing")]))
+        assert ei.value.partial_set is None
+
+    def test_embedder_timeout_counts_from_its_input(self, stub_script, files):
+        _, embedder = self.commands(stub_script, files)
+
+        class Slow:
+            def next_batch(self, count, context=None):
+                wait_for_launch(files["launched"])
+                time.sleep(1.5)
+                return ["a", "b"][:count]
+
+        final, trace = run_saturation(
+            tiny_set([1.0, 0.0], [2.0, 1.0]), Slow(), external_embedder(embedder, timeout=1.0),
+            SaturationConfig(seed=0, max_iterations=1),
+        )
+        assert (final.size, trace.iterations) == (3, 1)
 
 
 class TestConfigValidation:
