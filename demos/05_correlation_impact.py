@@ -59,8 +59,8 @@ cloud = gaussian_set(GaussianSpec(k=8, sigma=1.0, seed=4), 2000)
 centroid = cloud.vectors.mean(axis=0)
 radius = math.sqrt(8)
 keep = [
-    rec.id for rec in cloud.records
-    if float(np.linalg.norm(rec.vector - centroid)) <= radius
+    record_id for record_id, row in zip(cloud.ids(), cloud.vectors)
+    if float(np.linalg.norm(row - centroid)) <= radius
 ]
 impact = diversity_impact(cloud, subset(cloud, keep))
 print(f"\nkept {len(keep)}/2000 inside radius {radius:.2f}")

@@ -18,6 +18,10 @@ from . import errors
 
 __version__ = "0.1.0"
 
+# the longest external-command timeout in seconds: subprocess waits in
+# poll(), whose timeout is at most 2**31 - 1 ms
+_MAX_TIMEOUT = 2147483
+
 # public name -> the submodule that defines it
 _SUBMODULE = {
     name: module
@@ -31,10 +35,7 @@ _SUBMODULE = {
             "AxisStats", "DiversityScore", "axis_stats", "centroid_diversity",
             "diversity_report", "std_diversity",
         ),
-        "embedset": (
-            "EmbeddingRecord", "EmbeddingSet", "load_set", "parse_record",
-            "record_to_json", "subset", "write_set",
-        ),
+        "embedset": ("EmbeddingSet", "load_set", "subset", "write_set"),
         "errors": (
             "CountMismatch", "DegenerateSeries", "DimensionMismatch", "DivsatError",
             "DuplicateId", "EmbedderError", "EmptyInput", "EmptySet", "EmptyVector",

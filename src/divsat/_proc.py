@@ -11,6 +11,7 @@ import signal
 import subprocess
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import _MAX_TIMEOUT
 from .errors import DivsatError, IoError, MalformedLine, ProtocolError, SpawnError
 
 
@@ -88,7 +89,13 @@ class External:
     failure: type[DivsatError] = DivsatError
 
     def __init__(self, command: Sequence[str] | str, timeout: float = 300.0):
-        """A command string is split like a shell would; an empty one raises SpawnError."""
+        """A command string is split like a shell would; an empty one raises SpawnError.
+
+        ``timeout`` is seconds in (0, _MAX_TIMEOUT], and not a bool; any other
+        value raises ValueError here, before any child is launched.
+        """
+        if isinstance(timeout, bool) or not 0 < timeout <= _MAX_TIMEOUT:
+            raise ValueError(f"timeout must be seconds in (0, {_MAX_TIMEOUT}], got {timeout!r}")
         try:
             self._argv = shlex.split(command) if isinstance(command, str) else list(command)
         except ValueError as exc:

@@ -19,7 +19,7 @@ import time
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
-from . import __version__
+from . import _MAX_TIMEOUT, __version__
 from .errors import (
     DivsatError,
     IoError,
@@ -38,9 +38,6 @@ if TYPE_CHECKING:
 # Each handler imports the divsat modules it runs, so a process pays only
 # for its subcommand: --version, usage errors, filter run and eval and the
 # synth-provider provider role start without numpy.
-
-# seconds; subprocess waits in poll(), whose timeout is at most 2**31 - 1 ms
-_MAX_TIMEOUT = 2147483
 
 
 def _checked(cast, ok, what: str):
@@ -332,6 +329,8 @@ def cmd_saturate(args: argparse.Namespace) -> dict:
     )
     provider = _external(external_provider, args.provider, "--provider", args.timeout)
     embedder = _external(external_embedder, args.embedder, "--embedder", args.timeout)
+    if args.trace and os.path.realpath(args.trace) == os.path.realpath(args.out):
+        raise UsageError(f"--out and --trace name the same file {args.out!r}")
     if args.init is not None:
         initial: EmbeddingSet | int = load_set(args.init)
         initial_size = initial.size

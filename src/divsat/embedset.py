@@ -3,9 +3,11 @@
 A set is an ordered collection of embeddings, every vector float64 with the
 same dimension, ids unique within the set. It is stored as columns: an ids
 tuple, one read-only (n, k) matrix, and label and meta tuples holding None
-where a row has none. Sets are never empty; asking a diversity metric about
-an empty collection is a caller bug, so emptiness is rejected at
-construction time rather than coerced to zero scores downstream.
+where a row has none. There is no per-row object: ``from_array``,
+``load_set`` and ``subset`` build sets, and ``ids()`` and ``vectors`` read
+them. Sets are never empty; asking a diversity metric about an empty
+collection is a caller bug, so emptiness is rejected at construction time
+rather than coerced to zero scores downstream.
 
 File format: one JSON object per line,
 ``{"id": str?, "vector": [num, ...], "label": str?, "meta": {str: str}?}``.
@@ -18,8 +20,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,59 +37,18 @@ from .errors import (
 from ._proc import json_objects, read_lines, write_lines
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingRecord:
-    """One embedding vector plus its identity and optional metadata."""
-
-    id: str
-    vector: np.ndarray
-    label: str | None = None
-    meta: Mapping[str, str] | None = None
-
-    def __post_init__(self) -> None:
-        # A one-row set runs the same validation as every set and holds a
-        # private read-only copy of the vector (a 1-D input gives one row).
-        row = EmbeddingSet._from_columns(
-            [self.id], np.array(self.vector, dtype=np.float64)[None], [self.label],
-            [self.meta], row_name=lambda pos: f"record {self.id!r}",
-        )
-        object.__setattr__(self, "vector", row.vectors[0])
-        object.__setattr__(self, "meta", row._metas[0])
-
-    @property
-    def dimension(self) -> int:
-        return int(self.vector.shape[0])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EmbeddingRecord):
-            return NotImplemented
-        same = (self.id, self.label, self.meta) == (other.id, other.label, other.meta)
-        return same and np.array_equal(self.vector, other.vector)
-
-
 class EmbeddingSet:
     """Ordered, fixed-dimension, non-empty collection of embeddings, held as
-    columns; ``records``, iteration and ``set[id]`` build copies on demand."""
+    columns. Build one with ``from_array``, ``load_set`` or ``subset``."""
 
     __slots__ = ("_ids", "_vectors", "_labels", "_metas", "_index")
 
-    def __init__(self, records: Iterable[EmbeddingRecord]):
-        recs = tuple(records)
-        try:
-            vectors = np.array([rec.vector for rec in recs], dtype=np.float64)
-        except ValueError:
-            raise DimensionMismatch("records have different dimensions") from None
-        self._assign([rec.id for rec in recs], vectors,
-                     [rec.label for rec in recs], [rec.meta for rec in recs])
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build an EmbeddingSet with from_array, load_set or subset")
 
     @classmethod
     def _from_columns(cls, ids, vectors, labels=None, metas=None, row_name=None):
         """A new set owning ``vectors``; ``row_name(pos)`` names rows in errors."""
-        obj = cls.__new__(cls)
-        obj._assign(ids, vectors, labels, metas, row_name)
-        return obj
-
-    def _assign(self, ids, vectors, labels=None, metas=None, row_name=None) -> None:
         # The one validating pass behind every way of building a set.
         name = row_name or "row {}".format
         ids = tuple(ids)
@@ -123,8 +83,10 @@ class EmbeddingSet:
                 raise MalformedLine(f"{name(pos)}: meta must map strings to strings")
             index[record_id] = pos
         mat.flags.writeable = False
-        self._ids, self._vectors, self._labels, self._index = ids, mat, labels, index
-        self._metas = tuple(None if meta is None else dict(meta) for meta in metas)
+        obj = cls.__new__(cls)
+        obj._ids, obj._vectors, obj._labels, obj._index = ids, mat, labels, index
+        obj._metas = tuple(None if meta is None else dict(meta) for meta in metas)
+        return obj
 
     @classmethod
     def from_array(
@@ -153,30 +115,14 @@ class EmbeddingSet:
         """All vectors as one read-only (n, k) matrix."""
         return self._vectors
 
-    @property
-    def records(self) -> tuple[EmbeddingRecord, ...]:
-        return tuple(self)
-
     def ids(self) -> tuple[str, ...]:
         return self._ids
-
-    def _record(self, pos: int) -> EmbeddingRecord:
-        return EmbeddingRecord(self._ids[pos], self._vectors[pos],
-                               self._labels[pos], self._metas[pos])
 
     def __contains__(self, record_id: str) -> bool:
         return record_id in self._index
 
-    def __getitem__(self, record_id: str) -> EmbeddingRecord:
-        if record_id not in self._index:
-            raise UnknownId(f"no record with id {record_id!r}")
-        return self._record(self._index[record_id])
-
     def __len__(self) -> int:
         return len(self._ids)
-
-    def __iter__(self) -> Iterator[EmbeddingRecord]:
-        return map(self._record, range(len(self._ids)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EmbeddingSet):
@@ -208,29 +154,7 @@ def _merge(first: EmbeddingSet, second: EmbeddingSet, id_prefix: str = "") -> Em
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def parse_record(line: str, line_index: int = 0) -> EmbeddingRecord:
-    """Parse one JSON Lines record.
-
-    Args:
-        line: one line of text holding a single JSON object.
-        line_index: zero-based position of the line in its file; becomes the
-            record id when the object carries none.
-
-    Raises:
-        MalformedLine: not a JSON object, missing/ill-typed fields, or a null
-            inside the vector.
-        NonFiniteValue: any NaN or infinite vector entry, including literals
-            such as ``NaN`` and numbers that overflow to infinity.
-        EmptyVector: a vector with zero entries.
-    """
-    if not line.strip():
-        raise MalformedLine(f"line {line_index + 1}: blank line")
-    return _parse_lines([line], "record", start=line_index)._record(0)
-
-
-def _parse_lines(
-    lines: Iterable[str], source: str, where: str = "line", start: int = 0
-) -> EmbeddingSet:
+def _parse_lines(lines: Iterable[str], source: str, where: str = "line") -> EmbeddingSet:
     # Lines are read one at a time and each vector is appended to one flat
     # float64 buffer, which becomes the (n, k) matrix without a copy, so no
     # list of lines is held. The set constructor then validates the
@@ -239,7 +163,7 @@ def _parse_lines(
     rows: list[tuple] = []  # (id, label, meta, line number)
     values = array("d")
     k = 0
-    for i, obj in json_objects(lines, MalformedLine, where, start):
+    for i, obj in json_objects(lines, MalformedLine, where):
         raw = obj.get("vector")
         try:
             if not isinstance(raw, list):
@@ -286,10 +210,6 @@ def _row_json(record_id: str, vector: list, label, meta) -> str:
     if meta is not None:
         obj["meta"] = dict(meta)
     return json.dumps(obj, ensure_ascii=False, allow_nan=False)
-
-
-def record_to_json(rec: EmbeddingRecord) -> str:
-    return _row_json(rec.id, rec.vector.tolist(), rec.label, rec.meta)
 
 
 def write_set(embeddings: EmbeddingSet, path) -> None:

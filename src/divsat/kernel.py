@@ -53,7 +53,10 @@ class KernelConfig:
         if isinstance(bw, str):
             if bw != MEDIAN_HEURISTIC:
                 raise ValueError(f"unknown bandwidth mode {bw!r}")
-        elif not (isinstance(bw, (int, float)) and math.isfinite(bw) and bw > 0):
+        # bool is an int, but True is not a length, as a JSON true is not a number
+        elif isinstance(bw, bool) or not (
+            isinstance(bw, (int, float)) and math.isfinite(bw) and bw > 0
+        ):
             raise ValueError("bandwidth must be a finite positive number")
 
 

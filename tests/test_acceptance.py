@@ -540,9 +540,9 @@ def test_criterion_11_filtering_reduces_diversity(announce):
     centroid = before.vectors.mean(axis=0)
     radius = spec.sigma * math.sqrt(spec.k)
     keep = [
-        record.id
-        for record in before.records
-        if float(np.linalg.norm(record.vector - centroid)) <= radius
+        record_id
+        for record_id, row in zip(before.ids(), before.vectors)
+        if float(np.linalg.norm(row - centroid)) <= radius
     ]
     after = subset(before, keep)
     report = diversity_impact(before, after)

@@ -187,7 +187,7 @@ class TestDiversityImpact:
     def test_concentration_negative_deltas(self):
         s = gaussian_set(GaussianSpec(k=3, sigma=1.0, seed=1), 500)
         radii = np.linalg.norm(s.vectors - s.vectors.mean(axis=0), axis=1)
-        keep = [rec.id for rec, radius in zip(s, radii) if radius <= 1.0]
+        keep = [record_id for record_id, radius in zip(s.ids(), radii) if radius <= 1.0]
         from divsat import subset
 
         inner = subset(s, keep)

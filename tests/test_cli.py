@@ -663,6 +663,21 @@ class TestSaturateCommand:
         assert not state.exists()
         assert out_path.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    def test_out_and_trace_naming_one_file_is_usage_error(self, run_cli, tmp_path, spelling):
+        state, out_path, trace_path, args = self.saturate_args(tmp_path, "same")
+        trace = {"same": out_path, "dotted": f"{tmp_path}/sub/../{out_path.name}",
+                 "symlink": tmp_path / "link.jsonl"}[spelling]
+        if spelling == "symlink":
+            trace.symlink_to(out_path)
+        code, stdout, err = run_cli(*[trace if a == trace_path else a for a in args],
+                                    timeout=300)
+        assert code == 2
+        assert stdout == ""
+        assert "--out and --trace name the same file" in err
+        assert not state.exists()
+        assert not out_path.exists()
+
     def test_provider_that_cannot_launch_is_spawn_error(self, run_cli, tmp_path, not_a_program):
         state, out_path, trace_path, args = self.saturate_args(tmp_path, "spawn")
         argv = list(args)
@@ -726,8 +741,8 @@ class TestSaturateCommand:
         init_path = write_jsonl(
             "init.jsonl",
             [
-                {"id": rec.id, "vector": [float(v) for v in rec.vector]}
-                for rec in initial.records
+                {"id": record_id, "vector": [float(v) for v in row]}
+                for record_id, row in zip(initial.ids(), initial.vectors)
             ],
         )
         state, out_path, trace_path, _ = self.saturate_args(tmp_path, "init")
@@ -754,7 +769,7 @@ class TestSaturateCommand:
         assert result["savings_pct"] == expected
         # initial records lead the final set unchanged
         final = load_set(out_path)
-        assert [r.id for r in final.records[:40]] == [r.id for r in initial.records]
+        assert final.ids()[:40] == initial.ids()
 
     def test_provider_exhaustion_reason(self, run_cli, tmp_path):
         state = tmp_path / "cap.state"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from divsat import (
     DimensionMismatch,
     DuplicateId,
-    EmbeddingRecord,
     EmbeddingSet,
     EmptySet,
     EmptyVector,
@@ -18,66 +17,86 @@ from divsat import (
     NonFiniteValue,
     UnknownId,
     load_set,
-    parse_record,
-    record_to_json,
     subset,
     write_set,
 )
 
 
-def rec(id_, *vals):
-    return EmbeddingRecord(id=id_, vector=np.array(vals, dtype=np.float64))
+@pytest.fixture
+def load_line(tmp_path):
+    """load_set of a file holding ``line`` after ``blank`` blank lines."""
+
+    def _load(line, blank=0):
+        path = tmp_path / "line.jsonl"
+        path.write_text("\n" * blank + line + "\n", encoding="utf-8")
+        return load_set(path)
+
+    return _load
 
 
 class TestRecord:
+    """What one row may hold, checked where rows enter a set."""
+
     def test_vector_is_float64_and_readonly(self):
-        r = rec("a", 1, 2)
-        assert r.vector.dtype == np.float64
+        row = EmbeddingSet.from_array([[1, 2]]).vectors[0]
+        assert row.dtype == np.float64
         with pytest.raises(ValueError):
-            r.vector[0] = 9.0
+            row[0] = 9.0
 
     def test_copies_input(self):
-        buf = np.array([1.0, 2.0])
-        r = EmbeddingRecord(id="a", vector=buf)
-        buf[0] = 99.0
-        assert r.vector[0] == 1.0
+        buf, ids, labels = np.array([[1.0, 2.0]]), ["a"], ["walk"]
+        s = EmbeddingSet.from_array(buf, ids=ids, labels=labels)
+        buf[0, 0], ids[0], labels[0] = 99.0, "z", "run"
+        assert s.vectors[0, 0] == 1.0
+        assert s.ids() == ("a",)
+        assert s == EmbeddingSet.from_array([[1.0, 2.0]], ids=["a"], labels=["walk"])
 
     def test_rejects_empty_vector(self):
-        with pytest.raises(EmptyVector):
-            EmbeddingRecord(id="a", vector=np.array([]))
+        with pytest.raises(EmptyVector, match="^vectors have no entries$"):
+            EmbeddingSet.from_array([[]])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(NonFiniteValue):
-            rec("a", 1.0, bad)
+        with pytest.raises(NonFiniteValue, match="^row 0: vector is not finite$"):
+            EmbeddingSet.from_array([[1.0, bad]])
 
     def test_rejects_bad_id(self):
-        with pytest.raises(MalformedLine):
-            EmbeddingRecord(id="", vector=np.array([1.0]))
-        with pytest.raises(MalformedLine):
-            EmbeddingRecord(id=7, vector=np.array([1.0]))
+        with pytest.raises(MalformedLine, match="^row 0: record id must be"):
+            EmbeddingSet.from_array([[1.0]], ids=[""])
+        with pytest.raises(MalformedLine, match="^row 0: record id must be"):
+            EmbeddingSet.from_array([[1.0]], ids=[7])
 
     def test_rejects_matrix_vector(self):
+        # a 2-D row makes the input 3-D; a lone 1-D row is not (n, k) either
         with pytest.raises(MalformedLine):
-            EmbeddingRecord(id="a", vector=np.ones((2, 2)))
+            EmbeddingSet.from_array(np.ones((1, 2, 2)))
+        with pytest.raises(MalformedLine):
+            EmbeddingSet.from_array(np.ones(2))
 
     def test_equality_is_by_value(self):
-        assert rec("a", 1, 2) == rec("a", 1.0, 2.0)
-        assert rec("a", 1, 2) != rec("a", 1, 3)
-        assert rec("a", 1, 2) != rec("b", 1, 2)
+        one = EmbeddingSet.from_array([[1, 2]], ids=["a"])
+        assert one == EmbeddingSet.from_array([[1.0, 2.0]], ids=["a"])
+        assert one != EmbeddingSet.from_array([[1, 3]], ids=["a"])
+        assert one != EmbeddingSet.from_array([[1, 2]], ids=["b"])
+        assert one != EmbeddingSet.from_array([[1, 2]], ids=["a"], labels=["walk"])
 
 
 class TestSet:
     def test_basic_accessors(self):
-        s = EmbeddingSet([rec("a", 1, 2), rec("b", 3, 4)])
+        s = EmbeddingSet.from_array([[1, 2], [3, 4]], ids=["a", "b"])
         assert len(s) == 2
         assert s.dimension == 2
         assert s.ids() == ("a", "b")
         assert "a" in s and "z" not in s
-        assert s["b"].vector[1] == 4.0
+        assert s.vectors[1, 1] == 4.0
+
+    @pytest.mark.parametrize("args", [(), ([],)])
+    def test_direct_construction_points_to_the_builders(self, args):
+        with pytest.raises(TypeError, match="from_array, load_set or subset"):
+            EmbeddingSet(*args)
 
     def test_vectors_matrix(self):
-        s = EmbeddingSet([rec("a", 1, 2), rec("b", 3, 4)])
+        s = EmbeddingSet.from_array([[1.0, 2.0], [3.0, 4.0]])
         m = s.vectors
         assert m.shape == (2, 2)
         assert m.dtype == np.float64
@@ -85,16 +104,23 @@ class TestSet:
             m[0, 0] = 0.0
 
     def test_empty_rejected(self):
+        s = EmbeddingSet.from_array([[1.0]])
         with pytest.raises(EmptySet):
-            EmbeddingSet([])
+            subset(s, [])
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            EmbeddingSet([rec("a", 1), rec("b", 1, 2)])
+    def test_dimension_mismatch(self, write_jsonl):
+        path = write_jsonl("s.jsonl", [{"id": "a", "vector": [1]},
+                                       {"id": "b", "vector": [1, 2]}])
+        with pytest.raises(DimensionMismatch,
+                           match="^line 2: vector has dimension 2, expected 1$"):
+            load_set(path)
 
-    def test_duplicate_ids(self):
-        with pytest.raises(DuplicateId):
-            EmbeddingSet([rec("a", 1), rec("a", 2)])
+    def test_duplicate_ids(self, write_jsonl):
+        path = write_jsonl("s.jsonl", [{"id": "a", "vector": [1]},
+                                       {"id": "a", "vector": [2]}])
+        with pytest.raises(DuplicateId,
+                           match="^line 2: duplicate record id 'a', first at line 1$"):
+            load_set(path)
 
     def test_from_array_default_ids(self):
         s = EmbeddingSet.from_array(np.arange(6.0).reshape(3, 2))
@@ -134,48 +160,36 @@ class TestSet:
         with pytest.raises(ValueError):
             s.vectors[0, 0] = 1.0
 
-    def test_records_round_trip_with_labels_and_meta(self):
-        s = EmbeddingSet(
-            [
-                EmbeddingRecord(id="a", vector=np.array([0.5, 1.0]), label="walk"),
-                EmbeddingRecord(id="b", vector=np.array([2.0, -1.0]), meta={"k": "v"}),
-                EmbeddingRecord(id="c", vector=np.array([3.0, 0.0]), label="run",
-                                meta={"src": "x"}),
-            ]
-        )
-        assert EmbeddingSet(list(s)) == s
-
     def test_subset_preserves_original_order(self):
-        s = EmbeddingSet([rec("a", 1), rec("b", 2), rec("c", 3)])
+        s = EmbeddingSet.from_array([[1], [2], [3]], ids=["a", "b", "c"])
         sub = subset(s, ["c", "a"])
         assert sub.ids() == ("a", "c")
 
     def test_subset_unknown_id(self):
-        s = EmbeddingSet([rec("a", 1)])
+        s = EmbeddingSet.from_array([[1]], ids=["a"])
         with pytest.raises(UnknownId):
             subset(s, ["nope"])
 
-    def test_getitem_unknown_id(self):
-        s = EmbeddingSet([rec("a", 1)])
-        with pytest.raises(UnknownId):
-            s["missing"]
-
 
 class TestParse:
-    def test_minimal_line(self):
-        r = parse_record('{"id": "x", "vector": [1.0, 2.0]}')
-        assert r.id == "x"
-        assert list(r.vector) == [1.0, 2.0]
+    """One line of a set file, read by load_set."""
 
-    def test_default_id_is_line_index(self):
+    def test_minimal_line(self, load_line):
+        s = load_line('{"id": "x", "vector": [1.0, 2.0]}')
+        assert s.ids() == ("x",)
+        assert s.vectors.tolist() == [[1.0, 2.0]]
+
+    def test_default_id_is_line_index(self, load_line):
         # No id key: stringified 0-based physical line index stands in.
-        r = parse_record('{"vector": [1.0]}', line_index=7)
-        assert r.id == "7"
+        assert load_line('{"vector": [1.0]}', blank=7).ids() == ("7",)
 
-    def test_label_and_meta_carried(self):
-        r = parse_record('{"id": "x", "vector": [1], "label": "walk", "meta": {"src": "a"}}')
-        assert r.label == "walk"
-        assert r.meta == {"src": "a"}
+    def test_label_and_meta_carried(self, tmp_path, write_jsonl):
+        # write_set is where a set's labels and meta show
+        rows = [{"id": "x", "vector": [1.0], "label": "walk", "meta": {"src": "a"}},
+                {"id": "y", "vector": [2.0]}]
+        out = tmp_path / "out.jsonl"
+        write_set(load_set(write_jsonl("s.jsonl", rows)), out)
+        assert [json.loads(line) for line in out.read_text().splitlines()] == rows
 
     @pytest.mark.parametrize(
         "line",
@@ -187,13 +201,13 @@ class TestParse:
             '[1, 2]',
         ],
     )
-    def test_malformed(self, line):
-        with pytest.raises(MalformedLine):
-            parse_record(line)
+    def test_malformed(self, load_line, line):
+        with pytest.raises(MalformedLine, match="^line 1: "):
+            load_line(line)
 
-    def test_empty_vector_rejected(self):
-        with pytest.raises(EmptyVector):
-            parse_record('{"id": "x", "vector": []}')
+    def test_empty_vector_rejected(self, load_line):
+        with pytest.raises(EmptyVector, match='^line 1: "vector" is empty$'):
+            load_line('{"id": "x", "vector": []}')
 
     @pytest.mark.parametrize(
         "line",
@@ -205,35 +219,31 @@ class TestParse:
             pytest.param('{"id": "x", "vector": [' + "1" * 400 + ']}', id="huge-int"),
         ],
     )
-    def test_non_finite_rejected(self, line):
-        with pytest.raises(NonFiniteValue):
-            parse_record(line)
+    def test_non_finite_rejected(self, load_line, line):
+        with pytest.raises(NonFiniteValue, match="^line 1: "):
+            load_line(line)
 
 
 class TestIo:
-    def test_round_trip(self, tmp_path):
-        s = EmbeddingSet(
-            [
-                EmbeddingRecord(id="a", vector=np.array([0.1, -2.5]), label="walk"),
-                EmbeddingRecord(id="b", vector=np.array([1e-300, 3.0]), meta={"k": "v"}),
-            ]
-        )
+    def test_round_trip(self, tmp_path, write_jsonl):
+        s = load_set(write_jsonl("in.jsonl", [
+            {"id": "a", "vector": [0.1, -2.5], "label": "walk"},
+            {"id": "b", "vector": [1e-300, 3.0], "meta": {"k": "v"}},
+        ]))
         path = tmp_path / "s.jsonl"
         write_set(s, path)
         back = load_set(path)
         assert back == s
 
     @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
-    def test_round_trip_with_unicode_line_separators(self, tmp_path, char):
+    def test_round_trip_with_unicode_line_separators(self, tmp_path, write_jsonl, char):
         # write_set leaves these raw (ensure_ascii=False) and JSON allows them
         # inside strings, so only "\n" may end a line
-        s = EmbeddingSet(
-            [
-                EmbeddingRecord(id=f"a{char}b", vector=np.array([0.5, 1.0]),
-                                label=f"x{char}", meta={f"k{char}": f"{char}v"}),
-                EmbeddingRecord(id="c", vector=np.array([2.0, -1.0]), label=char),
-            ]
-        )
+        s = load_set(write_jsonl("in.jsonl", [
+            {"id": f"a{char}b", "vector": [0.5, 1.0], "label": f"x{char}",
+             "meta": {f"k{char}": f"{char}v"}},
+            {"id": "c", "vector": [2.0, -1.0], "label": char},
+        ]))
         path = tmp_path / "s.jsonl"
         write_set(s, path)
         assert char in path.read_text(encoding="utf-8")
@@ -294,10 +304,13 @@ class TestIo:
         with pytest.raises(EmptySet):
             load_set(path)
 
-    def test_json_key_order_and_nan_guard(self):
-        r = EmbeddingRecord(id="a", vector=np.array([1.5]), label="x", meta={"m": "1"})
-        obj = json.loads(record_to_json(r))
-        assert list(obj) == ["id", "vector", "label", "meta"]
+    def test_json_key_order_and_nan_guard(self, tmp_path, write_jsonl):
+        s = load_set(write_jsonl("in.jsonl", [
+            {"meta": {"m": "1"}, "label": "x", "vector": [1.5], "id": "a"},
+        ]))
+        path = tmp_path / "s.jsonl"
+        write_set(s, path)
+        assert path.read_text() == '{"id": "a", "vector": [1.5], "label": "x", "meta": {"m": "1"}}\n'
 
 
 finite64 = st.floats(

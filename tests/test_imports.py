@@ -100,7 +100,7 @@ PUBLIC_NAMES = """
     AxisStats BatchProvider CaptionItem ConfusionMetrics CorrelationReport
     CorrelationResult CountMismatch DegenerateSeries DimensionMismatch
     DiversityImpactReport DiversityScore DivsatError DriftSpec DuplicateId
-    EmbedderError Embedder EmbeddingRecord EmbeddingSet EmptyInput EmptySet
+    EmbedderError Embedder EmbeddingSet EmptyInput EmptySet
     EmptyVector FilterPrompt FilterVerdict GaussianSpec InsufficientSamples
     InvalidRepetitions IoError JudgeError KernelConfig LabelMismatch
     LengthMismatch MEDIAN_HEURISTIC MalformedLine MissingVerdict MmdEstimate
@@ -112,7 +112,7 @@ PUBLIC_NAMES = """
     diversity_report drifting_provider errors evaluate_filter external_embedder
     external_judge external_provider gaussian_kernel gaussian_set load_captions
     load_set load_truth load_verdicts median_heuristic mmd mmd_calculator
-    parse_filter_response parse_record pearson_p pearson_r record_to_json
+    parse_filter_response pearson_p pearson_r
     resolve_bandwidth run_filter run_saturation saturation_step
     stationary_provider std_diversity subset token_vector write_set write_trace
     write_verdicts
@@ -144,6 +144,10 @@ def test_synth_provider_loads_no_scipy():
                                    "--k", "2", "--count", "3")
     assert len(proc.stdout.splitlines()) == 3
     assert scipy_modules(names) == []
+    # the provider child of every saturate run loads no more divsat, nor subprocess
+    divsat_modules = sorted(n for n in names if n == "divsat" or n.startswith("divsat."))
+    assert divsat_modules == ["divsat", "divsat.cli", "divsat.errors"]
+    assert "subprocess" not in names
 
 
 def test_mmd_command_loads_no_scipy(write_jsonl):

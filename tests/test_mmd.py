@@ -126,6 +126,8 @@ class TestMedianHeuristic:
             KernelConfig(bandwidth=-1.0)
         with pytest.raises(ValueError):
             KernelConfig(bandwidth="nonsense")
+        with pytest.raises(ValueError, match="finite positive number"):
+            KernelConfig(bandwidth=True)
 
 
 class TestMmd:

@@ -1,6 +1,7 @@
 import json
 import os
 import shlex
+import sys
 import time
 
 import numpy as np
@@ -441,6 +442,16 @@ class TestExternal:
                 external_embedder(command).embed(["a"])
             with pytest.raises(SpawnError):
                 external_judge(command).judge(prompt)
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 1e10, 0, -1, True])
+    def test_timeout_out_of_range_is_rejected_before_any_launch(self, tmp_path, timeout):
+        marker = tmp_path / "launched"
+        command = [sys.executable, "-c", f"open({str(marker)!r}, 'w')"]
+        for wrap in (external_provider, external_embedder, external_judge):
+            with pytest.raises(ValueError, match=r"^timeout must be seconds in \(0, 2147483\]"):
+                wrap(command, timeout=timeout)
+            wrap(command, timeout=2147483)
+        assert not marker.exists()
 
     def test_stub_provider_past_its_timeout(self, stub_script):
         argv = stub_script("import time\ntime.sleep(60)\n")
