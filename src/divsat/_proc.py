@@ -4,46 +4,45 @@ JSON Lines helpers they share with the file loaders."""
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import shlex
 import signal
 import subprocess
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import _MAX_TIMEOUT
 from .errors import DivsatError, IoError, MalformedLine, ProtocolError, SpawnError
 
 
-def split_lines(text: str) -> list[str]:
-    """Split JSON Lines text into lines, dropping the empty tail after a final line end.
-
-    "\\r\\n", a lone "\\r" and "\\n" each end a line, as text mode reads a
-    file. ``str.splitlines()`` would also split on U+2028, U+2029 and U+0085,
-    which JSON allows raw inside strings.
-    """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+def split_lines(text: str) -> Iterator[str]:
+    """Yield the lines of JSON Lines text as ``read_lines`` yields a file's."""
+    return _lines(io.StringIO(text, newline=None))
 
 
 def read_lines(path) -> Iterator[str]:
     """Yield a UTF-8 file's lines one at a time, without their "\\n".
 
-    Text mode reads "\\r\\n" and a lone "\\r" as "\\n" and splits on nothing
-    else, so these are the lines ``split_lines`` gives for the file's text;
-    only one of them is held at a time. Bytes that are not UTF-8 raise
+    Only one line is held at a time. Bytes that are not UTF-8 raise
     MalformedLine naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                yield line[:-1] if line.endswith("\n") else line
+            yield from _lines(fh)
     except OSError as exc:
         raise IoError(str(exc)) from None
     except UnicodeDecodeError as exc:
         raise MalformedLine(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
+def _lines(stream: TextIO) -> Iterator[str]:
+    # The one line rule: a text stream with universal newlines reads "\r\n",
+    # a lone "\r" and "\n" each as "\n" and splits on nothing else.
+    # ``str.splitlines()`` would also split on U+2028, U+2029 and U+0085,
+    # which JSON allows raw inside strings.
+    for line in stream:
+        yield line[:-1] if line.endswith("\n") else line
 
 
 def write_lines(path, lines: Iterable[str]) -> None:
@@ -58,14 +57,14 @@ def write_lines(path, lines: Iterable[str]) -> None:
 
 
 def json_objects(
-    lines: Iterable[str], failure: type[DivsatError], where: str = "line", start: int = 0
+    lines: Iterable[str], failure: type[DivsatError], where: str = "line"
 ) -> Iterator[tuple[int, dict]]:
     """Yield (index, object) for each non-blank line, which must hold a JSON object.
 
-    Lines are indexed from ``start``; errors raise ``failure`` citing
-    ``{where} N`` with N the 1-based line number.
+    Lines are indexed from 0; errors raise ``failure`` citing ``{where} N``
+    with N the 1-based line number.
     """
-    for i, line in enumerate(lines, start):
+    for i, line in enumerate(lines):
         if not line.strip():
             continue
         try:

@@ -32,7 +32,6 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .diversity import DiversityScore
-    from .embedset import EmbeddingSet
     from .kernel import KernelConfig
 
 # Each handler imports the divsat modules it runs, so a process pays only
@@ -331,12 +330,7 @@ def cmd_saturate(args: argparse.Namespace) -> dict:
     embedder = _external(external_embedder, args.embedder, "--embedder", args.timeout)
     if args.trace and os.path.realpath(args.trace) == os.path.realpath(args.out):
         raise UsageError(f"--out and --trace name the same file {args.out!r}")
-    if args.init is not None:
-        initial: EmbeddingSet | int = load_set(args.init)
-        initial_size = initial.size
-    else:
-        initial = args.init_count
-        initial_size = args.init_count
+    initial = load_set(args.init) if args.init is not None else args.init_count
     _check_writable(args.out, "--out")
     if args.trace:
         _check_writable(args.trace, "--trace")
@@ -360,7 +354,8 @@ def cmd_saturate(args: argparse.Namespace) -> dict:
     return {
         "reason": trace.reason.value,
         "iterations": trace.iterations,
-        "initial_size": initial_size,
+        # the initial set is a prefix of the final one, however short a bootstrap came back
+        "initial_size": final.size - sum(step.batch_size for step in steps),
         "final_size": final.size,
         "baseline": args.baseline,
         "savings_pct": round(savings, 2),

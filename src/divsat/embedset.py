@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Sized
 
 import numpy as np
 
@@ -97,7 +97,10 @@ class EmbeddingSet:
         id_prefix: str = "",
     ) -> "EmbeddingSet":
         """Build a set from an (n, k) array; default ids are the prefixed row indices."""
-        mat = np.array(values, dtype=np.float64)  # private copy
+        try:
+            mat = np.array(values, dtype=np.float64)  # private copy
+        except ValueError:
+            raise _not_a_matrix(values) from None
         if ids is None:  # a 0-d input gets one id so the 2-D check reports it
             ids = [f"{id_prefix}{i}" for i in range(len(mat) if mat.ndim else 1)]
         return cls._from_columns(ids, mat, labels)
@@ -133,6 +136,20 @@ class EmbeddingSet:
 
     def __repr__(self) -> str:
         return f"EmbeddingSet(n={self.size}, k={self.dimension})"
+
+
+def _not_a_matrix(values) -> DivsatError:
+    # Why numpy could not make a float matrix of ``values``; its own message
+    # names neither the row nor the fault.
+    widths = [len(row) if isinstance(row, Sized) and not isinstance(row, str) else None
+              for row in values]
+    if None in widths:
+        return MalformedLine("expected a two-dimensional (n, k) array")
+    for pos, width in enumerate(widths):
+        if width != widths[0]:
+            return DimensionMismatch(f"row {pos}: vector has dimension {width}, "
+                                     f"expected {widths[0]}")
+    return MalformedLine("vector entries must be numbers")
 
 
 def _same_dimension(a: EmbeddingSet, b: EmbeddingSet) -> None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,8 +299,13 @@ def mmd_calculator(
     the long-standing definition and is kept on purpose. The estimate is
     the same bit for bit whether the bandwidth is resolved here or passed
     in explicitly. Repetition r draws from generator seed ``seed + r``, so
-    the estimate is reproducible and repetitions are independent.
+    the estimate is reproducible and the repetitions of one call are
+    independent. Calls with nearby seeds are not: the saturation loop seeds
+    iteration i with ``seed ^ i``, so consecutive iterations share most of
+    their streams (see "Independent random streams" in ROADMAP.md).
     """
+    if isinstance(repetitions, bool) or not isinstance(repetitions, numbers.Integral):
+        raise InvalidRepetitions(f"repetitions must be an integer, got {repetitions!r}")
     if repetitions < 1:
         raise InvalidRepetitions(f"repetitions must be >= 1, got {repetitions}")
     _same_dimension(a_set, b_set)

@@ -17,8 +17,9 @@ import enum
 import json
 import logging
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
-from typing import Callable, ContextManager, Iterator, Mapping, Protocol, Sequence, Union
+from typing import Callable, Iterator, Mapping, Protocol, Sequence, Union
 
 from .embedset import EmbeddingSet, _merge, _parse_lines
 from .errors import (
@@ -74,6 +75,14 @@ class SaturationConfig:
     fixed_batch: bool = False
 
     def __post_init__(self) -> None:
+        # bool is an int, but True is neither a count nor a fraction;
+        # numpy integers and floats pass
+        for name in ("early_stop", "mmd_repetitions", "max_iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.perc, bool) or not isinstance(self.perc, numbers.Real):
+            raise ValueError(f"perc must be a number, got {self.perc!r}")
         if not (0.0 < self.perc <= 1.0):
             raise ValueError("perc must be in (0, 1]")
         if self.early_stop < 0:
@@ -203,7 +212,9 @@ def run_saturation(
 
     Args:
         initial: a non-empty starting EmbeddingSet, or an int n0 to
-            bootstrap that many items from the provider first.
+            bootstrap that many items from the provider first. The
+            bootstrap is the first batch: one shorter than n0 means the
+            provider is exhausted, and the run ends with no iterations.
         provider, embedder: the growth loop's item source and vectorizer;
             in-process objects or the external_* subprocess wrappers. An
             external embedder's child is started before each provider call
@@ -238,29 +249,26 @@ def run_saturation(
     steps: list[TraceStep] = []
     state: SaturationState | None = None
     reason = StopReason.SATURATED
+    exhausted = False  # the last batch was shorter than requested
     try:
         if isinstance(initial, int):
-            with _embedding(embedder) as embed:
-                texts = _call(lambda: list(provider.next_batch(initial, context)),
-                              ProviderError, "provider failed during bootstrap")
-                if not texts:
-                    raise ProviderError("provider produced no items during bootstrap")
-                initial = _embed(embed, texts)
+            count = initial
+            initial = _batch(provider, embedder, count, context, "during bootstrap")
+            if initial is None:
+                raise ProviderError("provider produced no items during bootstrap")
+            exhausted = initial.size < count
         state = SaturationState(embeddings=initial)
-        while state.stop_condition <= cfg.early_stop:
+        while not exhausted and state.stop_condition <= cfg.early_stop:
             if state.iteration >= cfg.max_iterations:
                 reason = StopReason.MAX_ITERATIONS
                 break
             iteration = state.iteration + 1
             base = initial.size if cfg.fixed_batch else state.embeddings.size
             count = max(1, math.ceil(cfg.perc * base))
-            with _embedding(embedder) as embed:
-                texts = _call(lambda: list(provider.next_batch(count, context)),
-                              ProviderError, f"provider failed at iteration {iteration}")
-                if len(texts) == 0:
-                    reason = StopReason.PROVIDER_EXHAUSTED
-                    break
-                batch = _embed(embed, texts)
+            batch = _batch(provider, embedder, count, context, f"at iteration {iteration}")
+            if batch is None:
+                exhausted = True
+                break
             # Batch ids are prefixed with the iteration so batches never collide
             # with each other; an initial set can still hold such ids (an earlier
             # run's output passed back in), which raises DuplicateId here.
@@ -273,28 +281,33 @@ def run_saturation(
                 iteration, state.embeddings.size, estimate.mean, estimate.stddev,
                 state.range_min, state.range_max, state.stop_condition,
             )
-            if len(texts) < count:
-                reason = StopReason.PROVIDER_EXHAUSTED
-                break
+            exhausted = batch.size < count
     except DivsatError as exc:
         # The one failure boundary: whatever failed, the work so far is kept.
         exc.trace_steps = tuple(steps)
         exc.partial_set = state.embeddings if state is not None else None
         raise
+    if exhausted:
+        reason = StopReason.PROVIDER_EXHAUSTED
     return state.embeddings, SaturationTrace(steps=tuple(steps), reason=reason)
 
 
-def _embedding(embedder: Embedder) -> ContextManager[Callable[[Sequence[str]], EmbeddingSet]]:
-    # The embed call for one batch. An external embedder's child starts here,
-    # before the provider call that makes its batch, so the two start-ups
-    # overlap; leaving the block without a batch kills and reaps it.
+def _batch(provider: BatchProvider, embedder: Embedder, count: int,
+           context: Mapping[str, str] | None, stage: str) -> EmbeddingSet | None:
+    # Up to ``count`` new items, embedded; None if the provider gave none.
+    # ``stage`` ends the provider's failure message. An external embedder's
+    # child starts before the provider call, so the two start-ups overlap;
+    # with no batch to embed, it is killed and reaped unread.
     if isinstance(embedder, _ExternalEmbedder):
-        return embedder.started()
-    return contextlib.nullcontext(embedder.embed)
-
-
-def _embed(embed: Callable[[Sequence[str]], EmbeddingSet], texts: Sequence[str]) -> EmbeddingSet:
-    batch = _call(lambda: embed(texts), EmbedderError, "embedder failed")
+        launched = embedder.started()
+    else:
+        launched = contextlib.nullcontext(embedder.embed)
+    with launched as embed:
+        texts = _call(lambda: list(provider.next_batch(count, context)),
+                      ProviderError, f"provider failed {stage}")
+        if not texts:
+            return None
+        batch = _call(lambda: embed(texts), EmbedderError, "embedder failed")
     if batch.size != len(texts):
         raise EmbedderError(f"embedder returned {batch.size} records for {len(texts)} items")
     return batch

@@ -64,13 +64,11 @@ class DriftSpec:
 
 
 def gaussian_set(spec: GaussianSpec, n: int) -> EmbeddingSet:
-    """n i.i.d. draws from ``spec``'s Gaussian, ids ``g0`` .. ``g{n-1}``."""
+    """n i.i.d. draws from ``spec``'s Gaussian, ids ``g0`` .. ``g{n-1}``: the
+    first batch a ``SyntheticSource`` over ``spec`` embeds."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = make_rng(spec.seed)
-    z = rng.standard_normal((n, spec.k))
-    values = spec.mean_vector() + spec.sigma * z
-    return EmbeddingSet.from_array(values, id_prefix="g")
+    return SyntheticSource(spec).embed(range(n))
 
 
 class SyntheticSource:

@@ -794,6 +794,25 @@ class TestSaturateCommand:
         assert result["final_size"] == 36
         assert load_set(out_path).size == 36
 
+    def test_short_bootstrap_ends_the_run(self, run_cli, tmp_path):
+        state = tmp_path / "short.state"
+        provider = quoted(
+            sys.executable, "-m", "divsat", "synth-provider", "--role", "provider",
+            "--k", 4, "--state", state, "--limit", 10,
+        )
+        embedder = quoted(sys.executable, "-m", "divsat", "synth-provider", "--role", "embedder",
+                          "--k", 4)
+        code, stdout, err = run_cli(
+            "saturate", "--init-count", 50, "--provider", provider, "--embedder", embedder,
+            "--out", tmp_path / "short.jsonl", timeout=300,
+        )
+        assert code == 0, err
+        result = report_of(stdout)["result"]
+        assert (result["reason"], result["iterations"]) == ("provider_exhausted", 0)
+        assert (result["initial_size"], result["final_size"]) == (10, 10)
+        # the one provider call asked for 50 items; no second call was made
+        assert state.read_text() == "50"
+
     def test_failing_provider_is_domain_error(self, run_cli, tmp_path, stub_script):
         bad = stub_script(
             """\

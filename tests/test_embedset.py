@@ -67,11 +67,14 @@ class TestRecord:
             EmbeddingSet.from_array([[1.0]], ids=[7])
 
     def test_rejects_matrix_vector(self):
-        # a 2-D row makes the input 3-D; a lone 1-D row is not (n, k) either
+        # a 2-D row makes the input 3-D; a lone 1-D row is not (n, k) either,
+        # nor are rows whose entries are not numbers
         with pytest.raises(MalformedLine):
             EmbeddingSet.from_array(np.ones((1, 2, 2)))
         with pytest.raises(MalformedLine):
             EmbeddingSet.from_array(np.ones(2))
+        with pytest.raises(MalformedLine, match="^vector entries must be numbers$"):
+            EmbeddingSet.from_array([["a", "b"]])
 
     def test_equality_is_by_value(self):
         one = EmbeddingSet.from_array([[1, 2]], ids=["a"])
@@ -114,6 +117,9 @@ class TestSet:
         with pytest.raises(DimensionMismatch,
                            match="^line 2: vector has dimension 2, expected 1$"):
             load_set(path)
+        with pytest.raises(DimensionMismatch,
+                           match="^row 1: vector has dimension 2, expected 1$"):
+            EmbeddingSet.from_array([[1.0], [1.0, 2.0]])
 
     def test_duplicate_ids(self, write_jsonl):
         path = write_jsonl("s.jsonl", [{"id": "a", "vector": [1]},

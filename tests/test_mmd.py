@@ -260,8 +260,10 @@ class TestCalculator:
     def test_zero_repetitions_rejected(self):
         a = as_set([[1.0]])
         b = as_set([[1.0], [2.0]], prefix="y")
-        with pytest.raises(InvalidRepetitions):
-            mmd_calculator(a, b, KernelConfig(bandwidth=1.0), repetitions=0, seed=0)
+        # True would be recorded as repetitions=True
+        for repetitions in (0, 2.5, True):
+            with pytest.raises(InvalidRepetitions):
+                mmd_calculator(a, b, KernelConfig(bandwidth=1.0), repetitions=repetitions, seed=0)
 
     def test_unnormalized_estimate(self):
         rng = np.random.default_rng(37)

@@ -16,6 +16,7 @@ from divsat import (
     EmbeddingSet,
     GaussianSpec,
     KernelConfig,
+    MEDIAN_HEURISTIC,
     MmdEstimate,
     ProtocolError,
     ProviderError,
@@ -226,6 +227,20 @@ class TestRunSources:
         assert trace.iterations == 0
         assert final == initial
 
+    def test_short_bootstrap_exhausts_without_a_second_call(self):
+        class Counting(ListSource):
+            calls = 0
+
+            def next_batch(self, count, context=None):
+                self.calls += 1
+                return super().next_batch(count, context)
+
+        src = Counting([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        final, trace = run_saturation(5, src, src, SaturationConfig(seed=0))
+        assert src.calls == 1
+        assert (trace.reason, trace.iterations) == (StopReason.PROVIDER_EXHAUSTED, 0)
+        assert final.size == 3
+
     def test_short_batch_steps_then_exhausts(self):
         initial = gaussian_set(GaussianSpec(k=2, seed=1), 40)
         src = ListSource([[0.1, 0.2]])  # one vector, but ceil(.05*40)=2 wanted
@@ -254,6 +269,43 @@ class TestRunSources:
         (set_a, trace_a), (set_b, trace_b) = runs
         assert set_a == set_b
         assert trace_a == trace_b
+
+    # float.hex of each step's (mmd_mean, mmd_stddev), recorded from the loop
+    # as it stood before the bootstrap and the iterations shared one fetch
+    # step. Sizes go 120 -> 126 -> 133 -> 140 -> 147, so iterations 3 and 4
+    # score a current set spanning two 128-row tiles.
+    PINNED_RUN_BITS = [
+        (MEDIAN_HEURISTIC, [
+            ('0x1.878b102135db9p-9', '0x1.587c0ad90ea5cp-10'),
+            ('0x1.b80cdeb124c7ap-9', '0x1.7ce8b59864145p-10'),
+            ('0x1.764d5db32419ep-9', '0x1.48f6f4919ae3cp-11'),
+            ('0x1.610f83924746ap-9', '0x1.8acbe0a721adfp-11'),
+        ]),
+        (4.0, [
+            ('0x1.69703191db2bap-9', '0x1.49ec7bea1bbdcp-10'),
+            ('0x1.9731c60ad8182p-9', '0x1.64290b148b5fep-10'),
+            ('0x1.5a9a678840a32p-9', '0x1.3561e874756a1p-11'),
+            ('0x1.43e07927a6836p-9', '0x1.72207ae3811cbp-11'),
+        ]),
+    ]
+
+    @pytest.mark.parametrize("bandwidth, bits", PINNED_RUN_BITS)
+    def test_multi_iteration_bits_are_pinned(self, bandwidth, bits):
+        initial = gaussian_set(GaussianSpec(k=8, seed=11), 120)
+        src = stationary_provider(GaussianSpec(k=8, seed=12))
+        cfg = SaturationConfig(perc=0.05, early_stop=10, max_iterations=4, seed=3,
+                               kernel=KernelConfig(bandwidth))
+        final, trace = run_saturation(initial, src, src, cfg)
+        assert trace.reason is StopReason.MAX_ITERATIONS
+        assert [s.batch_size for s in trace.steps] == [6, 7, 7, 7]
+        assert [(s.mmd_mean.hex(), s.mmd_stddev.hex()) for s in trace.steps] == bits
+        assert final.ids() == (
+            tuple(f"g{i}" for i in range(120))
+            + tuple(f"b1_g{i}" for i in range(6))
+            + tuple(f"b2_g{i}" for i in range(6, 13))
+            + tuple(f"b3_g{i}" for i in range(13, 20))
+            + tuple(f"b4_g{i}" for i in range(20, 27))
+        )
 
     def test_bootstrap_from_int(self):
         src = stationary_provider(GaussianSpec(k=2, sigma=0.4, seed=30))
@@ -734,15 +786,27 @@ class TestEarlyLaunch:
 
 class TestConfigValidation:
     def test_perc_bounds(self):
-        with pytest.raises(ValueError):
-            SaturationConfig(perc=0.0)
-        with pytest.raises(ValueError):
-            SaturationConfig(perc=1.5)
+        # True would read as 1.0, so every batch would be as large as the set
+        for perc in (0.0, 1.5, True, "0.5"):
+            with pytest.raises(ValueError):
+                SaturationConfig(perc=perc)
+        assert SaturationConfig(perc=np.float64(0.5)).perc == 0.5
 
     def test_max_iterations_bounds(self):
-        with pytest.raises(ValueError):
-            SaturationConfig(max_iterations=0)
+        # 2.5 would run three iterations
+        for value in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                SaturationConfig(max_iterations=value)
 
     def test_early_stop_non_negative(self):
-        with pytest.raises(ValueError):
-            SaturationConfig(early_stop=-1)
+        for value in (-1, 1.5, True):
+            with pytest.raises(ValueError):
+                SaturationConfig(early_stop=value)
+
+    @pytest.mark.parametrize("name", ["mmd_repetitions", "seed"])
+    def test_integer_fields_reject_other_types(self, name):
+        # a float here used to pass, then fail with a bare TypeError after the bootstrap
+        for value in (2.5, True, "3"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                SaturationConfig(**{name: value})
+        assert getattr(SaturationConfig(**{name: np.int64(3)}), name) == 3
