@@ -135,10 +135,6 @@ def correlation_report(text_mmd, motion_mmd, delta_f1) -> CorrelationReport:
     text = np.asarray(text_mmd, dtype=np.float64).ravel()
     motion = np.asarray(motion_mmd, dtype=np.float64).ravel()
     f1 = np.asarray(delta_f1, dtype=np.float64).ravel()
-    if not (text.shape[0] == motion.shape[0] == f1.shape[0]):
-        raise LengthMismatch(
-            f"series have lengths {text.shape[0]}, {motion.shape[0]}, {f1.shape[0]}"
-        )
     return CorrelationReport(
         text_vs_motion=correlate(text, motion),
         text_vs_f1=correlate(text, f1),

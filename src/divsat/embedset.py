@@ -99,7 +99,7 @@ class EmbeddingSet:
         """Build a set from an (n, k) array; default ids are the prefixed row indices."""
         try:
             mat = np.array(values, dtype=np.float64)  # private copy
-        except ValueError:
+        except (TypeError, ValueError):
             raise _not_a_matrix(values) from None
         if ids is None:  # a 0-d input gets one id so the 2-D check reports it
             ids = [f"{id_prefix}{i}" for i in range(len(mat) if mat.ndim else 1)]
@@ -141,6 +141,8 @@ class EmbeddingSet:
 def _not_a_matrix(values) -> DivsatError:
     # Why numpy could not make a float matrix of ``values``; its own message
     # names neither the row nor the fault.
+    if not isinstance(values, Sized):
+        return MalformedLine("expected a two-dimensional (n, k) array")
     widths = [len(row) if isinstance(row, Sized) and not isinstance(row, str) else None
               for row in values]
     if None in widths:

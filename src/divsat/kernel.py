@@ -32,7 +32,7 @@ import numpy as np
 
 from .embedset import EmbeddingSet, _same_dimension
 from .errors import DimensionMismatch, InvalidRepetitions, NonFiniteValue, SizeMismatch
-from .rng import make_rng
+from .rng import resample
 
 MEDIAN_HEURISTIC = "median-heuristic"
 
@@ -298,11 +298,8 @@ def mmd_calculator(
     larger one (as in saturation) each of its points counts twice; this is
     the long-standing definition and is kept on purpose. The estimate is
     the same bit for bit whether the bandwidth is resolved here or passed
-    in explicitly. Repetition r draws from generator seed ``seed + r``, so
-    the estimate is reproducible and the repetitions of one call are
-    independent. Calls with nearby seeds are not: the saturation loop seeds
-    iteration i with ``seed ^ i``, so consecutive iterations share most of
-    their streams (see "Independent random streams" in ROADMAP.md).
+    in explicitly. Repetition r is ``resample(seed, r, ...)``, so the estimate
+    is reproducible and the repetitions of one call are independent.
     """
     if isinstance(repetitions, bool) or not isinstance(repetitions, numbers.Integral):
         raise InvalidRepetitions(f"repetitions must be an integer, got {repetitions!r}")
@@ -319,7 +316,7 @@ def mmd_calculator(
     else:
         # repetition r resamples the small set as counts: how often each point is drawn
         counts = np.array([
-            np.bincount(make_rng(seed + r).integers(0, n_s, size=target), minlength=n_s)
+            np.bincount(resample(seed, r, n_s, target), minlength=n_s)
             for r in range(repetitions)
         ], dtype=np.float64)
     pairs = _Pairs(a_set.vectors, b_set.vectors)

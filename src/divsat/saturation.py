@@ -211,10 +211,11 @@ def run_saturation(
     """Drive batch generation until comparative diversity saturates.
 
     Args:
-        initial: a non-empty starting EmbeddingSet, or an int n0 to
-            bootstrap that many items from the provider first. The
-            bootstrap is the first batch: one shorter than n0 means the
-            provider is exhausted, and the run ends with no iterations.
+        initial: a non-empty starting EmbeddingSet, or a count n0 >= 1
+            (an int or numpy integer; not a bool or float) to bootstrap
+            that many items from the provider first. The bootstrap is the
+            first batch: one shorter than n0 means the provider is
+            exhausted, and the run ends with no iterations.
         provider, embedder: the growth loop's item source and vectorizer;
             in-process objects or the external_* subprocess wrappers. An
             external embedder's child is started before each provider call
@@ -237,37 +238,43 @@ def run_saturation(
         DivsatError: any package error from the bootstrap or the loop, with
             the completed steps as ``exc.trace_steps`` and the set so far as
             ``exc.partial_set`` (None if the bootstrap set never existed):
-            ProviderError or EmbedderError (a failed or miscounting call;
-            foreign exceptions from in-process objects are wrapped in these),
+            ProviderError or EmbedderError (a failed or miscounting call,
+            such as a provider returning more items than requested; foreign
+            exceptions from in-process objects are wrapped in these),
             ProtocolError, SpawnError, DimensionMismatch for a batch of
             another dimension, DuplicateId for a batch id already present.
-        ValueError: a bootstrap size below 1.
+        ValueError: a bootstrap count that is not an integer (a bool or
+            float included) or is below 1, raised before the provider is
+            called.
     """
     estimator = mmd_fn if mmd_fn is not None else _default_mmd
-    if isinstance(initial, int) and initial < 1:
-        raise ValueError("bootstrap size must be >= 1")
     steps: list[TraceStep] = []
     state: SaturationState | None = None
     reason = StopReason.SATURATED
-    exhausted = False  # the last batch was shorter than requested
     try:
-        if isinstance(initial, int):
-            count = initial
-            initial = _batch(provider, embedder, count, context, "during bootstrap")
-            if initial is None:
+        if isinstance(initial, EmbeddingSet):
+            start, exhausted = initial, False
+        else:
+            # bool is an int, but True is not a count; numpy integers pass
+            if isinstance(initial, bool) or not isinstance(initial, numbers.Integral):
+                raise ValueError(f"bootstrap size must be an integer, got {initial!r}")
+            if initial < 1:
+                raise ValueError("bootstrap size must be >= 1")
+            start, exhausted = _batch(provider, embedder, int(initial), context,
+                                      "during bootstrap")
+            if start is None:
                 raise ProviderError("provider produced no items during bootstrap")
-            exhausted = initial.size < count
-        state = SaturationState(embeddings=initial)
+        state = SaturationState(embeddings=start)
         while not exhausted and state.stop_condition <= cfg.early_stop:
             if state.iteration >= cfg.max_iterations:
                 reason = StopReason.MAX_ITERATIONS
                 break
             iteration = state.iteration + 1
-            base = initial.size if cfg.fixed_batch else state.embeddings.size
+            base = start.size if cfg.fixed_batch else state.embeddings.size
             count = max(1, math.ceil(cfg.perc * base))
-            batch = _batch(provider, embedder, count, context, f"at iteration {iteration}")
+            batch, exhausted = _batch(provider, embedder, count, context,
+                                      f"at iteration {iteration}")
             if batch is None:
-                exhausted = True
                 break
             # Batch ids are prefixed with the iteration so batches never collide
             # with each other; an initial set can still hold such ids (an earlier
@@ -281,7 +288,6 @@ def run_saturation(
                 iteration, state.embeddings.size, estimate.mean, estimate.stddev,
                 state.range_min, state.range_max, state.stop_condition,
             )
-            exhausted = batch.size < count
     except DivsatError as exc:
         # The one failure boundary: whatever failed, the work so far is kept.
         exc.trace_steps = tuple(steps)
@@ -293,11 +299,11 @@ def run_saturation(
 
 
 def _batch(provider: BatchProvider, embedder: Embedder, count: int,
-           context: Mapping[str, str] | None, stage: str) -> EmbeddingSet | None:
-    # Up to ``count`` new items, embedded; None if the provider gave none.
-    # ``stage`` ends the provider's failure message. An external embedder's
-    # child starts before the provider call, so the two start-ups overlap;
-    # with no batch to embed, it is killed and reaped unread.
+           context: Mapping[str, str] | None, stage: str) -> tuple[EmbeddingSet | None, bool]:
+    # Up to ``count`` new items, embedded (None if none came), and whether
+    # the provider is exhausted, which a batch shorter than ``count`` means.
+    # ``stage`` ends the provider's failure message. An external embedder's child
+    # starts before the provider call, so the start-ups overlap; unfed, it is killed.
     if isinstance(embedder, _ExternalEmbedder):
         launched = embedder.started()
     else:
@@ -306,11 +312,14 @@ def _batch(provider: BatchProvider, embedder: Embedder, count: int,
         texts = _call(lambda: list(provider.next_batch(count, context)),
                       ProviderError, f"provider failed {stage}")
         if not texts:
-            return None
+            return None, True
+        if len(texts) > count:
+            raise ProviderError(f"provider returned {len(texts)} items {stage} "
+                                f"but only {count} were requested")
         batch = _call(lambda: embed(texts), EmbedderError, "embedder failed")
     if batch.size != len(texts):
         raise EmbedderError(f"embedder returned {batch.size} records for {len(texts)} items")
-    return batch
+    return batch, batch.size < count
 
 
 def write_trace(trace: SaturationTrace, path) -> None:

@@ -130,6 +130,10 @@ class TestPearsonP:
 
 
 class TestCorrelationReport:
+    def test_unequal_lengths_are_rejected(self):
+        with pytest.raises(LengthMismatch):
+            correlation_report([1, 2, 3, 4], [4, 1, 3, 2], [1, 2, 3])
+
     def test_self_correlation_row(self):
         rng = np.random.default_rng(14)
         xs = rng.normal(size=30)

@@ -68,13 +68,18 @@ class TestRecord:
 
     def test_rejects_matrix_vector(self):
         # a 2-D row makes the input 3-D; a lone 1-D row is not (n, k) either,
-        # nor are rows whose entries are not numbers
+        # nor is an input that is not a sequence, nor are rows whose entries
+        # are not numbers
         with pytest.raises(MalformedLine):
             EmbeddingSet.from_array(np.ones((1, 2, 2)))
         with pytest.raises(MalformedLine):
             EmbeddingSet.from_array(np.ones(2))
-        with pytest.raises(MalformedLine, match="^vector entries must be numbers$"):
-            EmbeddingSet.from_array([["a", "b"]])
+        for values in (object(), (row for row in [[1.0]])):
+            with pytest.raises(MalformedLine, match="^expected a two-dimensional"):
+                EmbeddingSet.from_array(values)
+        for rows in ([["a", "b"]], [[{}]]):
+            with pytest.raises(MalformedLine, match="^vector entries must be numbers$"):
+                EmbeddingSet.from_array(rows)
 
     def test_equality_is_by_value(self):
         one = EmbeddingSet.from_array([[1, 2]], ids=["a"])

@@ -237,8 +237,8 @@ class TestCalculator:
         assert e1.repetitions == 10
 
     def test_reference_resampling_oracle(self):
-        """Re-derive the estimate with an external loop over per-rep seeds."""
-        from divsat.rng import make_rng
+        """Re-derive the estimate with an external loop over the per-rep draws."""
+        from divsat.rng import resample
 
         rng = np.random.default_rng(29)
         rows_a = rng.normal(size=(6, 2))
@@ -248,9 +248,7 @@ class TestCalculator:
         bw = oracle_median(np.vstack([rows_a, rows_b]).tolist())
         scores = []
         for r in range(4):
-            gen = make_rng(100 + r)
-            idx = gen.integers(0, 6, size=9)
-            boosted = rows_a[idx]
+            boosted = rows_a[resample(100, r, 6, 9)]
             scores.append(oracle_mmd(boosted.tolist(), rows_b.tolist(), bw))
         est = mmd_calculator(a, b, KernelConfig(bandwidth=MEDIAN_HEURISTIC), repetitions=4, seed=100)
         assert est.bandwidth_used == pytest.approx(bw, abs=1e-12)
@@ -295,12 +293,12 @@ def test_mmd_nonnegative_property(xa, ya, bw):
 
 def resampled_oracle(small, large, bw, repetitions, seed, normalized=True):
     """Mean and stddev from explicit resampled matrices, scored by oracle_mmd."""
-    from divsat.rng import make_rng
+    from divsat.rng import resample
 
     n = len(large)
     scores = []
     for r in range(repetitions):
-        idx = make_rng(seed + r).integers(0, len(small), size=n)
+        idx = resample(seed, r, len(small), n)
         score = oracle_mmd(small[idx].tolist(), large.tolist(), bw)
         scores.append(score if normalized else score * n * n)
     return float(np.mean(scores)), float(np.std(scores))

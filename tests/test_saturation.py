@@ -71,6 +71,16 @@ class ListSource:
         return EmbeddingSet.from_array(np.array(rows), id_prefix=f"c{start}_")
 
 
+class CountingSource(ListSource):
+    """A ListSource that counts its provider calls."""
+
+    calls = 0
+
+    def next_batch(self, count, context=None):
+        self.calls += 1
+        return super().next_batch(count, context)
+
+
 class TestStep:
     def test_sentinel_forces_out_of_window(self):
         state = SaturationState(embeddings=tiny_set([0.0, 0.0]))
@@ -228,14 +238,7 @@ class TestRunSources:
         assert final == initial
 
     def test_short_bootstrap_exhausts_without_a_second_call(self):
-        class Counting(ListSource):
-            calls = 0
-
-            def next_batch(self, count, context=None):
-                self.calls += 1
-                return super().next_batch(count, context)
-
-        src = Counting([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        src = CountingSource([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
         final, trace = run_saturation(5, src, src, SaturationConfig(seed=0))
         assert src.calls == 1
         assert (trace.reason, trace.iterations) == (StopReason.PROVIDER_EXHAUSTED, 0)
@@ -308,10 +311,54 @@ class TestRunSources:
         )
 
     def test_bootstrap_from_int(self):
-        src = stationary_provider(GaussianSpec(k=2, sigma=0.4, seed=30))
-        final, trace = run_saturation(12, src, src, SaturationConfig(seed=1, max_iterations=30))
-        assert final.size >= 12
-        assert trace.reason in (StopReason.SATURATED, StopReason.MAX_ITERATIONS)
+        for count in (12, np.int64(12)):
+            src = stationary_provider(GaussianSpec(k=2, sigma=0.4, seed=30))
+            final, trace = run_saturation(count, src, src,
+                                          SaturationConfig(seed=1, max_iterations=30))
+            assert final.size >= 12
+            assert trace.reason in (StopReason.SATURATED, StopReason.MAX_ITERATIONS)
+
+    @pytest.mark.parametrize("count, message", [
+        (True, "must be an integer, got True"),
+        (12.0, "must be an integer, got 12.0"),
+        ("12", "must be an integer, got '12'"),
+        (0, "must be >= 1"),
+    ])
+    def test_bootstrap_count_is_checked_before_the_provider_runs(self, count, message):
+        src = CountingSource([[0.1, 0.2]] * 20)
+        with pytest.raises(ValueError, match=f"^bootstrap size {message}$"):
+            run_saturation(count, src, src, SaturationConfig(seed=0))
+        assert src.calls == 0
+
+    @pytest.mark.parametrize("start, overrun_call, message, steps, partial_size", [
+        (12, 1, "17 items during bootstrap but only 12", 0, None),
+        (gaussian_set(GaussianSpec(k=2, seed=5), 20), 2, "7 items at iteration 2 but only 2", 1, 21),
+    ])
+    def test_provider_overrun_keeps_completed_work(
+        self, start, overrun_call, message, steps, partial_size
+    ):
+        # an in-process provider is held to its count, as an external one is
+        class Overrun:
+            def __init__(self):
+                self.source = stationary_provider(GaussianSpec(k=2, seed=6))
+                self.calls = 0
+
+            def next_batch(self, count, context=None):
+                self.calls += 1
+                extra = 5 if self.calls == overrun_call else 0
+                return self.source.next_batch(count + extra, context)
+
+            def embed(self, items):
+                return self.source.embed(items)
+
+        src = Overrun()
+        with pytest.raises(ProviderError, match=f"^provider returned {message} were requested$") as ei:
+            run_saturation(start, src, src, SaturationConfig(seed=0, early_stop=50))
+        assert len(ei.value.trace_steps) == steps
+        if partial_size is None:
+            assert ei.value.partial_set is None
+        else:
+            assert ei.value.partial_set.size == partial_size
 
     def test_provider_error_keeps_partial_trace(self):
         class Boom(ListSource):
