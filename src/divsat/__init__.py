@@ -13,6 +13,8 @@ and the first use of a name imports the submodule that defines it.
 """
 
 import importlib
+import math
+import numbers
 
 from . import errors
 
@@ -21,6 +23,33 @@ __version__ = "0.1.0"
 # the longest external-command timeout in seconds: subprocess waits in
 # poll(), whose timeout is at most 2**31 - 1 ms
 _MAX_TIMEOUT = 2147483
+
+
+def _rule(kind, kind_text: str, in_range=lambda v: True, range_text: str = ""):
+    """An argument rule: a kind of number, then a range, each with its wording.
+
+    The rule, called as ``rule(name, value)``, returns ``value`` or raises
+    ``error`` naming the argument; numpy numbers pass, a bool does not. Its
+    ``what`` words the whole rule for a command-line flag.
+    """
+
+    def rule(name: str, value, error=ValueError):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise error(f"{name} must be {kind_text}, got {value!r}")
+        if not in_range(value):
+            raise error(f"{name} must be {range_text or kind_text}")
+        return value
+
+    rule.what = f"{kind_text} {range_text}" if range_text else kind_text
+    return rule
+
+
+_integer = _rule(numbers.Integral, "an integer")
+_count = _rule(numbers.Integral, "an integer", lambda v: v >= 0, ">= 0")
+_positive_int = _rule(numbers.Integral, "an integer", lambda v: v >= 1, ">= 1")
+_fraction = _rule(numbers.Real, "a number", lambda v: 0 < v <= 1, "in (0, 1]")
+_positive = _rule(numbers.Real, "a finite positive number", lambda v: 0 < v and math.isfinite(v))
+_seconds = _rule(numbers.Real, f"seconds in (0, {_MAX_TIMEOUT}]", lambda v: 0 < v <= _MAX_TIMEOUT)
 
 # public name -> the submodule that defines it
 _SUBMODULE = {

@@ -12,7 +12,7 @@ import signal
 import subprocess
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from . import _MAX_TIMEOUT
+from . import _seconds
 from .errors import DivsatError, IoError, MalformedLine, ProtocolError, SpawnError
 
 
@@ -90,11 +90,10 @@ class External:
     def __init__(self, command: Sequence[str] | str, timeout: float = 300.0):
         """A command string is split like a shell would; an empty one raises SpawnError.
 
-        ``timeout`` is seconds in (0, _MAX_TIMEOUT], and not a bool; any other
-        value raises ValueError here, before any child is launched.
+        ``timeout`` is seconds in (0, _MAX_TIMEOUT], a number but not a bool;
+        any other value raises ValueError here, before any child is launched.
         """
-        if isinstance(timeout, bool) or not 0 < timeout <= _MAX_TIMEOUT:
-            raise ValueError(f"timeout must be seconds in (0, {_MAX_TIMEOUT}], got {timeout!r}")
+        _seconds("timeout", timeout)
         try:
             self._argv = shlex.split(command) if isinstance(command, str) else list(command)
         except ValueError as exc:

@@ -130,11 +130,14 @@ def correlate(xs, ys) -> CorrelationResult:
 def correlation_report(text_mmd, motion_mmd, delta_f1) -> CorrelationReport:
     """Correlate per-step text diversity, motion diversity, and score change.
 
-    All three series must be aligned (same length, >= 3).
+    All three series must be aligned (same length, >= 3); unequal lengths
+    raise LengthMismatch, whatever the lengths.
     """
     text = np.asarray(text_mmd, dtype=np.float64).ravel()
     motion = np.asarray(motion_mmd, dtype=np.float64).ravel()
     f1 = np.asarray(delta_f1, dtype=np.float64).ravel()
+    if not text.size == motion.size == f1.size:
+        raise LengthMismatch(f"series have lengths {text.size}, {motion.size}, {f1.size}")
     return CorrelationReport(
         text_vs_motion=correlate(text, motion),
         text_vs_f1=correlate(text, f1),

@@ -19,7 +19,7 @@ import time
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
-from . import _MAX_TIMEOUT, __version__
+from . import __version__, _count, _fraction, _positive, _positive_int, _seconds
 from .errors import (
     DivsatError,
     IoError,
@@ -39,8 +39,8 @@ if TYPE_CHECKING:
 # synth-provider provider role start without numpy.
 
 
-def _checked(cast, ok, what: str):
-    """An argparse type: ``cast`` the flag's text, then require ``ok`` of the value.
+def _checked(cast, rule):
+    """An argparse type: ``cast`` the flag's text, then apply the library's ``rule``.
 
     A failure is a usage error naming the flag, raised while the command
     line is parsed, so before any file is read or child started.
@@ -48,21 +48,18 @@ def _checked(cast, ok, what: str):
 
     def convert(text: str):
         try:
-            value = cast(text)
-            if ok(value):
-                return value
+            return rule("value", cast(text))
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"must be {rule.what}, got {text!r}") from None
 
     return convert
 
 
-_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_COUNT = _checked(int, lambda v: v >= 0, "an integer >= 0")
-_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
-_FRACTION = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
-_TIMEOUT = _checked(float, lambda v: 0 < v <= _MAX_TIMEOUT, f"seconds in (0, {_MAX_TIMEOUT}]")
+_POSITIVE_INT = _checked(int, _positive_int)
+_COUNT = _checked(int, _count)
+_POSITIVE = _checked(float, _positive)
+_FRACTION = _checked(float, _fraction)
+_TIMEOUT = _checked(float, _seconds)
 
 
 def _common_parser() -> argparse.ArgumentParser:

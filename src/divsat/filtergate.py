@@ -15,6 +15,7 @@ import re
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping, Protocol, Sequence, overload
 
+from . import _count, _positive_int
 from .errors import (
     CountMismatch,
     DuplicateId,
@@ -139,8 +140,7 @@ def parse_filter_response(
     Verdict ids come from ``ids`` when given (judging order), else they are
     the decimal positions "0" .. "expected-1".
     """
-    if expected < 1:
-        raise ValueError("expected must be >= 1")
+    _positive_int("expected", expected)
     if ids is not None and len(ids) != expected:
         raise ValueError(f"got {len(ids)} ids for {expected} expected verdicts")
     labels: list[bool] = []
@@ -285,8 +285,7 @@ def run_filter(
     numbered line) is re-queried up to ``retries`` more times before the
     parse error propagates.
     """
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
+    _count("retries", retries)
     verdicts: list[FilterVerdict] = []
     for prompt in build_filter_prompts(activity, captions):
         batch_ids = [item.id for item in prompt.batch]

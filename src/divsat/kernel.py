@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _integer, _positive, _positive_int
 from .embedset import EmbeddingSet, _same_dimension
 from .errors import DimensionMismatch, InvalidRepetitions, NonFiniteValue, SizeMismatch
 from .rng import resample
@@ -50,15 +50,10 @@ class KernelConfig:
     bandwidth: float | str = MEDIAN_HEURISTIC
 
     def __post_init__(self) -> None:
-        bw = self.bandwidth
-        if isinstance(bw, str):
-            if bw != MEDIAN_HEURISTIC:
-                raise ValueError(f"unknown bandwidth mode {bw!r}")
-        # bool is an int, but True is not a length, as a JSON true is not a number
-        elif isinstance(bw, bool) or not (
-            isinstance(bw, (int, float)) and math.isfinite(bw) and bw > 0
-        ):
-            raise ValueError("bandwidth must be a finite positive number")
+        if not isinstance(self.bandwidth, str):
+            _positive("bandwidth", self.bandwidth)
+        elif self.bandwidth != MEDIAN_HEURISTIC:
+            raise ValueError(f"unknown bandwidth mode {self.bandwidth!r}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +73,7 @@ def gaussian_kernel(x, y, bandwidth: float) -> float:
     yv = np.asarray(y, dtype=np.float64)
     if xv.shape != yv.shape:
         raise DimensionMismatch(f"points have shapes {xv.shape} and {yv.shape}")
-    if not (math.isfinite(bandwidth) and bandwidth > 0):
-        raise ValueError("bandwidth must be a finite positive number")
+    _positive("bandwidth", bandwidth)
     # summed in coordinate order, like every distance in this module
     d2 = 0.0
     for delta in (xv - yv).ravel().tolist():
@@ -301,10 +295,8 @@ def mmd_calculator(
     in explicitly. Repetition r is ``resample(seed, r, ...)``, so the estimate
     is reproducible and the repetitions of one call are independent.
     """
-    if isinstance(repetitions, bool) or not isinstance(repetitions, numbers.Integral):
-        raise InvalidRepetitions(f"repetitions must be an integer, got {repetitions!r}")
-    if repetitions < 1:
-        raise InvalidRepetitions(f"repetitions must be >= 1, got {repetitions}")
+    _positive_int("repetitions", repetitions, InvalidRepetitions)
+    _integer("seed", seed)
     _same_dimension(a_set, b_set)
     sizes = (a_set.size, b_set.size)
     n_s, target = min(sizes), max(sizes)

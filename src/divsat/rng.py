@@ -15,7 +15,7 @@ _MASK64 = (1 << 64) - 1
 
 def as_uint64(seed: int) -> int:
     """Map an arbitrary Python int (negatives included) onto the uint64 seed space."""
-    return seed & _MASK64
+    return int(seed) & _MASK64
 
 
 def make_rng(seed: int) -> np.random.Generator:

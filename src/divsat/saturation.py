@@ -17,10 +17,10 @@ import enum
 import json
 import logging
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, Mapping, Protocol, Sequence, Union
 
+from . import _count, _fraction, _integer, _positive_int
 from .embedset import EmbeddingSet, _merge, _parse_lines
 from .errors import (
     DimensionMismatch,
@@ -63,7 +63,10 @@ class SaturationConfig:
 
     ``perc`` sizes each batch as a fraction of the current set (or of the
     initial set under ``fixed_batch``); ``early_stop`` is the number of
-    consecutive in-window scores beyond the first required to stop.
+    consecutive in-window scores beyond the first required to stop. The
+    package's argument rules hold ``perc`` to (0, 1], ``early_stop`` to an
+    integer >= 0, ``mmd_repetitions`` and ``max_iterations`` to integers
+    >= 1 and ``seed`` to an integer; any other value raises ValueError.
     """
 
     perc: float = 0.05
@@ -75,22 +78,11 @@ class SaturationConfig:
     fixed_batch: bool = False
 
     def __post_init__(self) -> None:
-        # bool is an int, but True is neither a count nor a fraction;
-        # numpy integers and floats pass
-        for name in ("early_stop", "mmd_repetitions", "max_iterations", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.perc, bool) or not isinstance(self.perc, numbers.Real):
-            raise ValueError(f"perc must be a number, got {self.perc!r}")
-        if not (0.0 < self.perc <= 1.0):
-            raise ValueError("perc must be in (0, 1]")
-        if self.early_stop < 0:
-            raise ValueError("early_stop must be >= 0")
-        if self.mmd_repetitions < 1:
-            raise ValueError("mmd_repetitions must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        _fraction("perc", self.perc)
+        _count("early_stop", self.early_stop)
+        _positive_int("mmd_repetitions", self.mmd_repetitions)
+        _integer("seed", self.seed)
+        _positive_int("max_iterations", self.max_iterations)
 
 
 @dataclass(frozen=True)
@@ -255,11 +247,7 @@ def run_saturation(
         if isinstance(initial, EmbeddingSet):
             start, exhausted = initial, False
         else:
-            # bool is an int, but True is not a count; numpy integers pass
-            if isinstance(initial, bool) or not isinstance(initial, numbers.Integral):
-                raise ValueError(f"bootstrap size must be an integer, got {initial!r}")
-            if initial < 1:
-                raise ValueError("bootstrap size must be >= 1")
+            _positive_int("bootstrap size", initial)
             start, exhausted = _batch(provider, embedder, int(initial), context,
                                       "during bootstrap")
             if start is None:

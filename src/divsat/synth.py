@@ -15,9 +15,20 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _count, _integer, _positive, _positive_int
 from .embedset import EmbeddingSet
 from .errors import EmptySet, NonFiniteValue
 from .rng import make_rng
+
+
+def _vector(name: str, values: Sequence[float], k: int) -> tuple[float, ...]:
+    """``values`` as k finite floats; any other length or a NaN or infinity raises ValueError."""
+    vector = tuple(float(v) for v in values)
+    if len(vector) != k:
+        raise ValueError(f"{name} has {len(vector)} entries, expected {k}")
+    if not all(math.isfinite(v) for v in vector):
+        raise ValueError(f"{name} entries must be finite")
+    return vector
 
 
 @dataclass(frozen=True)
@@ -30,19 +41,10 @@ class GaussianSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("sigma must be a finite positive number")
-        mean = self.mean
-        if mean is None:
-            mean = (0.0,) * self.k
-        else:
-            mean = tuple(float(v) for v in mean)
-            if len(mean) != self.k:
-                raise ValueError(f"mean has {len(mean)} entries, expected {self.k}")
-            if not all(math.isfinite(v) for v in mean):
-                raise ValueError("mean entries must be finite")
+        _positive_int("k", self.k)
+        _positive("sigma", self.sigma)
+        _integer("seed", self.seed)
+        mean = (0.0,) * self.k if self.mean is None else _vector("mean", self.mean, self.k)
         object.__setattr__(self, "mean", mean)
 
     def mean_vector(self) -> np.ndarray:
@@ -57,17 +59,13 @@ class DriftSpec:
     drift: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        drift = tuple(float(v) for v in self.drift)
-        if len(drift) != self.base.k:
-            raise ValueError(f"drift has {len(drift)} entries, expected {self.base.k}")
-        object.__setattr__(self, "drift", drift)
+        object.__setattr__(self, "drift", _vector("drift", self.drift, self.base.k))
 
 
 def gaussian_set(spec: GaussianSpec, n: int) -> EmbeddingSet:
     """n i.i.d. draws from ``spec``'s Gaussian, ids ``g0`` .. ``g{n-1}``: the
     first batch a ``SyntheticSource`` over ``spec`` embeds."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _positive_int("n", n)
     return SyntheticSource(spec).embed(range(n))
 
 
@@ -87,15 +85,12 @@ class SyntheticSource:
         if drift is None:
             self._drift = np.zeros(spec.k)
         else:
-            self._drift = np.asarray(drift, dtype=np.float64)
-            if self._drift.shape != (spec.k,):
-                raise ValueError(f"drift must have {spec.k} entries")
+            self._drift = np.array(_vector("drift", drift, spec.k))
         self._token_counter = 0
         self._draw_counter = 0
 
     def next_batch(self, count: int, context: Mapping[str, str] | None = None) -> list[str]:
-        if count < 0:
-            raise ValueError("count must be >= 0")
+        _count("count", count)
         tokens = [f"tok{self._token_counter + i}" for i in range(count)]
         self._token_counter += count
         return tokens

@@ -133,6 +133,9 @@ class TestCorrelationReport:
     def test_unequal_lengths_are_rejected(self):
         with pytest.raises(LengthMismatch):
             correlation_report([1, 2, 3, 4], [4, 1, 3, 2], [1, 2, 3])
+        # the first pair agrees and is too short for a p-value; the lengths still come first
+        with pytest.raises(LengthMismatch, match="^series have lengths 2, 2, 3$"):
+            correlation_report([1, 2], [2, 1], [1, 2, 3])
 
     def test_self_correlation_row(self):
         rng = np.random.default_rng(14)

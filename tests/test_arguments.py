@@ -1,0 +1,128 @@
+"""Argument rules: every count, seed, fraction, length and timeout the library
+takes is checked by one rule from ``divsat/__init__.py``, which rejects a
+bool or a non-number with ValueError naming the argument and accepts numpy
+numbers. (``mmd_calculator``'s ``repetitions`` raises InvalidRepetitions,
+tested with the estimator.)"""
+
+import ast
+import sys
+
+import numpy as np
+import pytest
+
+from divsat import (
+    CaptionItem,
+    GaussianSpec,
+    KernelConfig,
+    SaturationConfig,
+    external_embedder,
+    external_judge,
+    external_provider,
+    gaussian_kernel,
+    gaussian_set,
+    mmd_calculator,
+    parse_filter_response,
+    run_filter,
+    run_saturation,
+    stationary_provider,
+)
+from conftest import SRC
+
+X = gaussian_set(GaussianSpec(k=2, seed=1), 5)
+Y = gaussian_set(GaussianSpec(k=2, seed=2), 7)
+COMMAND = [sys.executable, "-c", "pass"]
+
+
+class NeverJudge:
+    def judge(self, prompt):
+        raise AssertionError("the judge ran although the arguments were bad")
+
+
+def judge_one(retries):
+    return run_filter("walking", [CaptionItem(id="a", caption="walks", activity="walking")],
+                      NeverJudge(), retries=retries)
+
+
+# (the call, the argument it names); each call passes that argument a bad value
+REJECTED = {
+    "GaussianSpec k=True": (lambda: GaussianSpec(k=True), "k"),
+    "GaussianSpec k=2.5": (lambda: GaussianSpec(k=2.5), "k"),
+    "GaussianSpec sigma=True": (lambda: GaussianSpec(k=2, sigma=True), "sigma"),
+    "GaussianSpec seed=1.5": (lambda: GaussianSpec(k=2, seed=1.5), "seed"),
+    "gaussian_set n=True": (lambda: gaussian_set(GaussianSpec(k=2), True), "n"),
+    "gaussian_set n=2.5": (lambda: gaussian_set(GaussianSpec(k=2), 2.5), "n"),
+    "next_batch count=True": (lambda: stationary_provider(GaussianSpec(k=2)).next_batch(True),
+                              "count"),
+    "next_batch count=1.5": (lambda: stationary_provider(GaussianSpec(k=2)).next_batch(1.5),
+                             "count"),
+    "gaussian_kernel bandwidth=True": (lambda: gaussian_kernel([0.0], [1.0], True), "bandwidth"),
+    "mmd_calculator seed=1.5": (lambda: mmd_calculator(X, Y, seed=1.5), "seed"),
+    "mmd_calculator seed=True": (lambda: mmd_calculator(X, Y, seed=True), "seed"),
+    "parse_filter_response expected=True": (lambda: parse_filter_response("1. yes", True),
+                                            "expected"),
+    "run_filter retries=True": (lambda: judge_one(True), "retries"),
+    "run_filter retries=1.5": (lambda: judge_one(1.5), "retries"),
+    "external_provider timeout='5'": (lambda: external_provider(COMMAND, timeout="5"), "timeout"),
+    "external_embedder timeout='5'": (lambda: external_embedder(COMMAND, timeout="5"), "timeout"),
+    "external_judge timeout='5'": (lambda: external_judge(COMMAND, timeout="5"), "timeout"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED)
+def test_bad_argument_is_a_value_error_naming_it(case):
+    call, name = REJECTED[case]
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
+
+
+# numpy numbers are numbers: each call runs, and matches its Python twin
+ACCEPTED = {
+    "KernelConfig bandwidth=float32": (
+        lambda: mmd_calculator(X, X, KernelConfig(bandwidth=np.float32(2.0))),
+        lambda: mmd_calculator(X, X, KernelConfig(bandwidth=2.0)),
+    ),
+    "mmd_calculator seed=int64": (
+        lambda: mmd_calculator(X, Y, repetitions=np.int64(3), seed=np.int64(4)),
+        lambda: mmd_calculator(X, Y, repetitions=3, seed=4),
+    ),
+    "GaussianSpec numpy fields": (
+        lambda: gaussian_set(GaussianSpec(k=np.int64(2), sigma=np.float32(0.5),
+                                          seed=np.int64(-3)), np.int64(4)),
+        lambda: gaussian_set(GaussianSpec(k=2, sigma=0.5, seed=-3), 4),
+    ),
+    "SaturationConfig numpy fields": (
+        lambda: run_saturation(
+            np.int64(20), stationary_provider(GaussianSpec(k=2)),
+            stationary_provider(GaussianSpec(k=2)),
+            SaturationConfig(perc=np.float32(0.25), early_stop=np.int64(1),
+                             mmd_repetitions=np.int64(3), seed=np.int64(5),
+                             max_iterations=np.int64(3)),
+        )[0],
+        lambda: run_saturation(
+            20, stationary_provider(GaussianSpec(k=2)), stationary_provider(GaussianSpec(k=2)),
+            SaturationConfig(perc=0.25, early_stop=1, mmd_repetitions=3, seed=5,
+                             max_iterations=3),
+        )[0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ACCEPTED)
+def test_numpy_numbers_are_accepted(case):
+    numpy_call, python_call = ACCEPTED[case]
+    assert numpy_call() == python_call()
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "divsat").glob("*.py")), ids=lambda p: p.name)
+def test_only_init_imports_numbers(path):
+    # numbers.Integral and numbers.Real are the kind tests of the argument
+    # rules, which live in __init__.py; a module importing numbers would
+    # hold a second copy of one
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = [
+        node.module if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert ("numbers" in names) == (path.name == "__init__.py")

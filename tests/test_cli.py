@@ -133,6 +133,26 @@ def test_only_seed_is_a_bare_number():
     assert bare == {"--seed"}
 
 
+SATURATE = ["saturate", "--init-count", "4", "--provider", "p", "--embedder", "e", "--out", "o"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mmd", "x", "y", "--reps", "0"], "--reps: must be an integer >= 1, got '0'"),
+    (["synth", "--k", "2.5", "--n", "3", "--out", "o"], "--k: must be an integer >= 1, got '2.5'"),
+    ([*SATURATE, "--early-stop", "-1"], "--early-stop: must be an integer >= 0, got '-1'"),
+    ([*SATURATE, "--perc", "1.5"], "--perc: must be a number in (0, 1], got '1.5'"),
+    (["mmd", "x", "y", "--bandwidth", "nan"],
+     "--bandwidth: must be a finite positive number, got 'nan'"),
+    (["diversity", "x", "--timeout", "0"], "--timeout: must be seconds in (0, 2147483], got '0'"),
+])
+def test_flag_error_states_the_library_rule(capsys, argv, message):
+    # the flag's type applies the rule the library applies to the argument it feeds
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f": error: argument {message}")
+
+
 class TestReportEnvelope:
     def test_payload_shape_and_key_order(self, run_cli, write_jsonl):
         path = write_jsonl("square.jsonl", SQUARE)
@@ -1320,6 +1340,17 @@ class TestCorrelateCommand:
         assert error["code"] == code
         assert str(text_path) in error["message"]
         assert stdout == ""
+
+    def test_unequal_lengths_are_a_length_mismatch(self, run_cli, tmp_path):
+        text = self.write_series(tmp_path, "text.json", [1.0, 2.0])
+        motion = self.write_series(tmp_path, "motion.json", [2.0, 1.0])
+        f1 = self.write_series(tmp_path, "f1.json", [1.0, 2.0, 3.0])
+        code, stdout, err = run_cli(
+            "correlate", "--text", text, "--motion", motion, "--f1", f1
+        )
+        assert code == 1
+        assert error_of(err) == {"code": "length_mismatch",
+                                 "message": "series have lengths 2, 2, 3"}
 
     def test_degenerate_series_is_domain_error(self, run_cli, tmp_path):
         text = self.write_series(tmp_path, "text.json", [1.0, 1.0, 1.0])

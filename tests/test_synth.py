@@ -5,6 +5,7 @@ from divsat import (
     DriftSpec,
     GaussianSpec,
     NonFiniteValue,
+    SyntheticSource,
     centroid_diversity,
     drifting_provider,
     gaussian_set,
@@ -78,6 +79,16 @@ class TestProviders:
         second = src.embed(src.next_batch(4000))
         gap = first.vectors.mean(axis=0) - second.vectors.mean(axis=0)
         assert np.linalg.norm(gap) < 0.15
+
+    def test_non_finite_drift_is_rejected_when_constructed(self):
+        # caught where the drift is given, not at the first batch drawn with it
+        for drift in ((float("nan"), 0.0), (0.0, float("inf"))):
+            with pytest.raises(ValueError, match="^drift entries must be finite$"):
+                DriftSpec(GaussianSpec(k=2), drift)
+            with pytest.raises(ValueError, match="^drift entries must be finite$"):
+                SyntheticSource(GaussianSpec(k=2), drift)
+        with pytest.raises(ValueError, match="^drift has 3 entries, expected 2$"):
+            SyntheticSource(GaussianSpec(k=2), (0.0, 0.0, 0.0))
 
     def test_drift_zero_reduces_to_stationary(self):
         spec = GaussianSpec(k=3, sigma=0.7, seed=21)
