@@ -44,11 +44,19 @@ def _rule(kind, kind_text: str, in_range=lambda v: True, range_text: str = ""):
     return rule
 
 
+def _finite(value) -> bool:
+    # math.isfinite raises OverflowError for an integer beyond float range
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 _integer = _rule(numbers.Integral, "an integer")
 _count = _rule(numbers.Integral, "an integer", lambda v: v >= 0, ">= 0")
 _positive_int = _rule(numbers.Integral, "an integer", lambda v: v >= 1, ">= 1")
 _fraction = _rule(numbers.Real, "a number", lambda v: 0 < v <= 1, "in (0, 1]")
-_positive = _rule(numbers.Real, "a finite positive number", lambda v: 0 < v and math.isfinite(v))
+_positive = _rule(numbers.Real, "a finite positive number", lambda v: 0 < v and _finite(v))
 _seconds = _rule(numbers.Real, f"seconds in (0, {_MAX_TIMEOUT}]", lambda v: 0 < v <= _MAX_TIMEOUT)
 
 # public name -> the submodule that defines it

@@ -18,7 +18,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator, Mapping, Protocol, Sequence, Union
+from typing import Callable, ContextManager, Iterator, Mapping, Protocol, Sequence, Union
 
 from . import _count, _fraction, _integer, _positive_int
 from .embedset import EmbeddingSet, _merge, _parse_lines
@@ -210,8 +210,13 @@ def run_saturation(
             exhausted, and the run ends with no iterations.
         provider, embedder: the growth loop's item source and vectorizer;
             in-process objects or the external_* subprocess wrappers. An
-            external embedder's child is started before each provider call
-            and killed unread if no batch follows.
+            external embedder runs one child per batch, each launched a
+            batch ahead: the next batch's child starts as soon as this
+            batch's child is in hand, before this batch's provider call,
+            unless this is the last iteration ``cfg.max_iterations`` allows.
+            So at most two children are alive at once, and a child that gets
+            no batch (the run saturated, the provider was exhausted or
+            failed, or the run was interrupted) is killed unread and reaped.
         cfg: loop parameters; the per-iteration MMD seed is ``cfg.seed``
             XOR the 1-based iteration number.
         context: optional string map passed to the provider (for example an
@@ -243,13 +248,14 @@ def run_saturation(
     steps: list[TraceStep] = []
     state: SaturationState | None = None
     reason = StopReason.SATURATED
+    embeds = _Embeds(embedder)
     try:
         if isinstance(initial, EmbeddingSet):
             start, exhausted = initial, False
         else:
             _positive_int("bootstrap size", initial)
-            start, exhausted = _batch(provider, embedder, int(initial), context,
-                                      "during bootstrap")
+            start, exhausted = _batch(provider, embeds.next(ahead=True), int(initial),
+                                      context, "during bootstrap")
             if start is None:
                 raise ProviderError("provider produced no items during bootstrap")
         state = SaturationState(embeddings=start)
@@ -260,8 +266,8 @@ def run_saturation(
             iteration = state.iteration + 1
             base = start.size if cfg.fixed_batch else state.embeddings.size
             count = max(1, math.ceil(cfg.perc * base))
-            batch, exhausted = _batch(provider, embedder, count, context,
-                                      f"at iteration {iteration}")
+            batch, exhausted = _batch(provider, embeds.next(ahead=iteration < cfg.max_iterations),
+                                      count, context, f"at iteration {iteration}")
             if batch is None:
                 break
             # Batch ids are prefixed with the iteration so batches never collide
@@ -281,21 +287,55 @@ def run_saturation(
         exc.trace_steps = tuple(steps)
         exc.partial_set = state.embeddings if state is not None else None
         raise
+    finally:
+        embeds.close()
     if exhausted:
         reason = StopReason.PROVIDER_EXHAUSTED
     return state.embeddings, SaturationTrace(steps=tuple(steps), reason=reason)
 
 
-def _batch(provider: BatchProvider, embedder: Embedder, count: int,
+_EmbedCall = Callable[[Sequence[str]], EmbeddingSet]
+
+
+class _Embeds:
+    """The embed call for each batch of a run, handed out in batch order.
+
+    An in-process embedder's ``embed`` serves every batch. An external
+    embedder gets one child per batch, launched a batch ahead: ``next`` takes
+    the child the call before it launched (or launches one), then, if
+    ``ahead`` says another batch may follow, launches that batch's child
+    before this batch's provider call, so its start-up overlaps the whole
+    iteration. At most two children are alive at once: this batch's and the
+    spare. ``close`` kills the spare unread with its process group, and
+    reaps it.
+    """
+
+    def __init__(self, embedder: Embedder):
+        self._embedder = embedder
+        self._spare = contextlib.ExitStack()
+        self._spare_embed: _EmbedCall | None = None
+
+    def close(self) -> None:
+        self._spare.close()
+
+    @contextlib.contextmanager
+    def next(self, ahead: bool) -> Iterator[_EmbedCall]:
+        if not isinstance(self._embedder, _ExternalEmbedder):
+            yield self._embedder.embed
+            return
+        embed, self._spare_embed = self._spare_embed, None
+        with self._spare.pop_all() as current:
+            embed = embed or current.enter_context(self._embedder.started())
+            if ahead:
+                self._spare_embed = self._spare.enter_context(self._embedder.started())
+            yield embed
+
+
+def _batch(provider: BatchProvider, launched: ContextManager[_EmbedCall], count: int,
            context: Mapping[str, str] | None, stage: str) -> tuple[EmbeddingSet | None, bool]:
-    # Up to ``count`` new items, embedded (None if none came), and whether
-    # the provider is exhausted, which a batch shorter than ``count`` means.
-    # ``stage`` ends the provider's failure message. An external embedder's child
-    # starts before the provider call, so the start-ups overlap; unfed, it is killed.
-    if isinstance(embedder, _ExternalEmbedder):
-        launched = embedder.started()
-    else:
-        launched = contextlib.nullcontext(embedder.embed)
+    # Up to ``count`` new items, embedded by the call ``launched`` yields (None
+    # if none came), and whether the provider is exhausted, which a batch
+    # shorter than ``count`` means. ``stage`` ends the provider's failure message.
     with launched as embed:
         texts = _call(lambda: list(provider.next_batch(count, context)),
                       ProviderError, f"provider failed {stage}")
@@ -349,7 +389,7 @@ class _ExternalEmbedder(External):
             return embed(items)
 
     @contextlib.contextmanager
-    def started(self) -> Iterator[Callable[[Sequence[str]], EmbeddingSet]]:
+    def started(self) -> Iterator[_EmbedCall]:
         """Launch the command now; yield ``embed`` for the one batch it will take.
 
         A launch failure is raised by that call; see ``External._started``.
@@ -396,8 +436,9 @@ def external_embedder(
     Per call the command receives one JSON object ``{"id": i, "text": ...}``
     per line on stdin and must print an equal count of embedding records
     (``{"vector": [...]}``, optional id) on stdout, order preserved.
-    ``run_saturation`` starts the command before the provider call that
-    makes its batch, and kills it unread when no batch follows; the
-    timeout counts from when the batch is written.
+    ``run_saturation`` starts each batch's command one batch ahead, before
+    the provider call that makes the batch before it, so at most two run at
+    once; one that gets no batch is killed unread with its process group.
+    The timeout counts from when the batch is written.
     """
     return _ExternalEmbedder(command, timeout)

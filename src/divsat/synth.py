@@ -22,8 +22,12 @@ from .rng import make_rng
 
 
 def _vector(name: str, values: Sequence[float], k: int) -> tuple[float, ...]:
-    """``values`` as k finite floats; any other length or a NaN or infinity raises ValueError."""
-    vector = tuple(float(v) for v in values)
+    """``values`` as k finite floats; any other length, an entry that is not a
+    number (a nested list included) or a NaN or infinity raises ValueError."""
+    try:
+        vector = tuple(float(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be {k} finite numbers") from None
     if len(vector) != k:
         raise ValueError(f"{name} has {len(vector)} entries, expected {k}")
     if not all(math.isfinite(v) for v in vector):

@@ -12,6 +12,7 @@ import pytest
 
 from divsat import (
     CaptionItem,
+    DriftSpec,
     GaussianSpec,
     KernelConfig,
     SaturationConfig,
@@ -49,6 +50,13 @@ REJECTED = {
     "GaussianSpec k=2.5": (lambda: GaussianSpec(k=2.5), "k"),
     "GaussianSpec sigma=True": (lambda: GaussianSpec(k=2, sigma=True), "sigma"),
     "GaussianSpec seed=1.5": (lambda: GaussianSpec(k=2, seed=1.5), "seed"),
+    # math.isfinite raises OverflowError for an integer beyond float range
+    "GaussianSpec sigma=10**400": (lambda: GaussianSpec(k=2, sigma=10**400), "sigma"),
+    "KernelConfig bandwidth=10**400": (lambda: KernelConfig(bandwidth=10**400), "bandwidth"),
+    # float() raises TypeError for a list entry
+    "GaussianSpec nested mean": (lambda: GaussianSpec(k=2, mean=[[1, 2], [3, 4]]), "mean"),
+    "DriftSpec nested drift": (lambda: DriftSpec(GaussianSpec(k=2), drift=[[1, 2], [3, 4]]),
+                               "drift"),
     "gaussian_set n=True": (lambda: gaussian_set(GaussianSpec(k=2), True), "n"),
     "gaussian_set n=2.5": (lambda: gaussian_set(GaussianSpec(k=2), 2.5), "n"),
     "next_batch count=True": (lambda: stationary_provider(GaussianSpec(k=2)).next_batch(True),

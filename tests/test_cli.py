@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -790,6 +791,33 @@ class TestSaturateCommand:
         # initial records lead the final set unchanged
         final = load_set(out_path)
         assert final.ids()[:40] == initial.ids()
+
+    def test_saturated_run_kills_its_spare_unread(self, run_cli, tmp_path):
+        # the embedder child started ahead for the batch after the last one
+        # gets no input, so the embedder's --state counts the batches used
+        provider_state, embedder_state = tmp_path / "prov.state", tmp_path / "emb.state"
+        provider = quoted(
+            sys.executable, "-m", "divsat", "synth-provider", "--role", "provider",
+            "--k", 4, "--state", provider_state,
+        )
+        embedder = quoted(
+            sys.executable, "-m", "divsat", "synth-provider", "--role", "embedder",
+            "--k", 4, "--sigma", 0.15, "--seed", 5, "--state", embedder_state,
+        )
+        code, stdout, err = run_cli(
+            "saturate", "--init-count", 30, "--provider", provider,
+            "--embedder", embedder, "--perc", 0.2, "--reps", 4,
+            "--early-stop", 1, "--max-iter", 12, "--seed", 5,
+            "--out", tmp_path / "final.jsonl", timeout=300,
+        )
+        assert code == 0, err
+        result = report_of(stdout)["result"]
+        assert result["reason"] == "saturated"
+        assert result["iterations"] < 12
+        # a spare left running would read EOF on its closed stdin and count a batch
+        time.sleep(1)
+        assert int(embedder_state.read_text()) == 1 + result["iterations"]
+        assert int(provider_state.read_text()) == result["final_size"]
 
     def test_provider_exhaustion_reason(self, run_cli, tmp_path):
         state = tmp_path / "cap.state"

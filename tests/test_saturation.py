@@ -1,6 +1,7 @@
 import json
 import os
 import shlex
+import subprocess
 import sys
 import time
 
@@ -663,40 +664,51 @@ class TestExternal:
         }
 
 
-# The embedder child records its pid in LAUNCHED as it starts, before it
-# reads any input, and appends its pid to FED once its batch has arrived.
+# The embedder child creates LAUNCHED/<its pid> as it starts, before it reads
+# any input, and appends its pid to FED once its batch has arrived; past its
+# first FAIL_PAST batches it exits 1 instead of printing records.
 EARLY_EMBEDDER = """
 import json, os, sys
-with open({launched!r} + ".tmp", "w") as fh:
-    fh.write(str(os.getpid()))
-os.replace({launched!r} + ".tmp", {launched!r})
+pid = str(os.getpid())
+open(os.path.join({launched!r}, pid), "w").close()
 rows = [json.loads(line) for line in sys.stdin if line.strip()]
 with open({fed!r}, "a") as fh:
-    fh.write(f"{{os.getpid()}}\\n")
+    fh.write(pid + "\\n")
+with open({fed!r}) as fh:
+    if len(fh.read().split()) > {fail_past}:
+        sys.exit("model crashed")
 for row in rows:
     print(json.dumps({{"id": str(row["id"]), "vector": [float(len(row["text"])), float(row["id"])]}}))
 """
 
-# The provider fails unless an embedder child has started before it runs; it
-# moves that child's pid from LAUNCHED to SEEN, and past its first CALLS
-# calls it runs PAST_LIMIT instead of printing its batch.
+# The provider fails unless every embedder child due by its call has started:
+# its own batch's and, unless its batch is batch LAST, the next one's. It
+# appends the pids of the children then alive to SEEN, one line per call, and
+# past its first CALLS calls it runs PAST_LIMIT instead of printing its batch.
 EARLY_PROVIDER = """
 import argparse, json, os, sys, time
 p = argparse.ArgumentParser()
 p.add_argument("--count", type=int, required=True)
 a = p.parse_args()
+calls = 1
+if os.path.exists({seen!r}):
+    with open({seen!r}) as fh:
+        calls += len(fh.readlines())
+due = calls + (calls < {last})
 deadline = time.monotonic() + 30
-while not os.path.exists({launched!r}):
+while len(os.listdir({launched!r})) < due:
     if time.monotonic() > deadline:
-        sys.exit("no embedder child was started before the provider ran")
+        sys.exit(f"fewer than {{due}} embedder children started before provider call {{calls}}")
     time.sleep(0.01)
-with open({launched!r}) as fh:
-    pid = fh.read()
-os.remove({launched!r})
+alive = []
+for pid in os.listdir({launched!r}):
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        continue
+    alive.append(pid)
 with open({seen!r}, "a") as fh:
-    fh.write(pid + "\\n")
-with open({seen!r}) as fh:
-    calls = len(fh.read().split())
+    fh.write(" ".join(alive) + "\\n")
 if calls > {calls}:
     {past_limit}
 for i in range(a.count):
@@ -704,52 +716,112 @@ for i in range(a.count):
 """
 
 
-def wait_for_launch(launched, seconds=30.0):
-    """The pid an early embedder child recorded in ``launched``; the file is removed."""
+def wait_for_launches(launched, count, seconds=30.0):
+    """The pids of the embedder children that started, once ``count`` have."""
     deadline = time.monotonic() + seconds
-    while not launched.exists():
-        assert time.monotonic() < deadline, "no embedder child was started"
+    while len(os.listdir(launched)) < count:
+        assert time.monotonic() < deadline, f"fewer than {count} embedder children were started"
         time.sleep(0.01)
-    pid = int(launched.read_text())
-    launched.unlink()
-    return pid
+    return [int(pid) for pid in os.listdir(launched)]
+
+
+class InterruptedAt:
+    """Passes calls on to ``provider``; call number ``call`` raises KeyboardInterrupt."""
+
+    def __init__(self, provider, call):
+        self._provider = provider
+        self._left = call
+
+    def next_batch(self, count, context=None):
+        texts = self._provider.next_batch(count, context)
+        self._left -= 1
+        if not self._left:
+            raise KeyboardInterrupt
+        return texts
 
 
 class TestEarlyLaunch:
-    """An external embedder's child starts before the provider call that makes its batch."""
+    """An external embedder's child starts one batch ahead: before the provider
+    call for the batch before its own."""
 
     @pytest.fixture
     def files(self, tmp_path):
+        (tmp_path / "launched").mkdir()
         return {name: tmp_path / name for name in ("launched", "seen", "fed")}
 
-    def commands(self, stub_script, files, calls=100, past_limit="pass"):
+    def commands(self, stub_script, files, calls=100, past_limit="pass", last=1000,
+                 fail_past=1000):
         names = {name: str(path) for name, path in files.items()}
-        embedder = stub_script(EARLY_EMBEDDER.format(**names))
-        provider = stub_script(EARLY_PROVIDER.format(calls=calls, past_limit=past_limit, **names))
+        embedder = stub_script(EARLY_EMBEDDER.format(fail_past=fail_past, **names))
+        provider = stub_script(EARLY_PROVIDER.format(calls=calls, past_limit=past_limit,
+                                                     last=last, **names))
         return provider, embedder
 
     @staticmethod
-    def pids(path):
+    def fed(files):
+        """The pids of the children fed a batch, in the order they were fed."""
+        path = files["fed"]
         return [int(pid) for pid in path.read_text().split()] if path.exists() else []
 
-    def assert_reaped_unfed(self, pid, files):
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
-        assert pid not in self.pids(files["fed"])
-        assert not files["launched"].exists()
+    @staticmethod
+    def seen(files):
+        """The pids of the embedder children alive at each provider call, one set per call."""
+        lines = files["seen"].read_text().splitlines()
+        return [{int(pid) for pid in line.split()} for line in lines]
+
+    def assert_reaped_unfed(self, pids, files):
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+            assert pid not in self.fed(files)
 
     def test_embedder_starts_before_the_provider_runs(self, stub_script, files):
-        provider, embedder = self.commands(stub_script, files)
+        provider, embedder = self.commands(stub_script, files, last=3)
         final, trace = run_saturation(
             4, external_provider(provider), external_embedder(embedder),
             SaturationConfig(seed=0, max_iterations=2),
         )
         assert (trace.iterations, trace.reason) == (2, StopReason.MAX_ITERATIONS)
         assert final.size == 4 + 1 + 1
-        # bootstrap plus two iterations: each child started early was fed its batch
-        assert self.pids(files["seen"]) == self.pids(files["fed"])
-        assert len(self.pids(files["fed"])) == 3
-        assert not files["launched"].exists()
+        # bootstrap plus two iterations: each child was running at the provider
+        # call that made its batch, and was fed that one batch
+        fed, seen = self.fed(files), self.seen(files)
+        assert len(fed) == len(set(fed)) == len(seen) == 3
+        assert all(pid in alive for pid, alive in zip(fed, seen))
+        assert sorted(fed) == sorted(int(pid) for pid in os.listdir(files["launched"]))
+
+    def test_next_batch_child_runs_during_the_provider_call(self, stub_script, files):
+        provider, embedder = self.commands(stub_script, files, last=5)
+        _, trace = run_saturation(
+            4, external_provider(provider), external_embedder(embedder),
+            SaturationConfig(seed=0, max_iterations=4),
+        )
+        assert trace.iterations == 4
+        fed = self.fed(files)
+        # at provider call i, batch i's child and batch i+1's are running; the
+        # last call, with no batch after it, has only its own
+        assert self.seen(files) == [set(fed[i:i + 2]) for i in range(5)]
+
+    def test_max_iterations_run_starts_one_child_per_batch(self, stub_script, files, monkeypatch):
+        launches = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                launches.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        provider, embedder = self.commands(stub_script, files, last=4)
+        _, trace = run_saturation(
+            4, external_provider(provider), external_embedder(embedder),
+            SaturationConfig(seed=0, max_iterations=3),
+        )
+        assert (trace.iterations, trace.reason) == (3, StopReason.MAX_ITERATIONS)
+        children = [proc for proc in launches if proc.args == embedder]
+        # fed in the order they were launched, and each ran to a clean exit
+        assert [proc.pid for proc in children] == self.fed(files)
+        assert len(children) == 4
+        assert all(proc.returncode == 0 for proc in children)
 
     def test_child_is_killed_unfed_on_exhaustion(self, stub_script, files):
         provider, embedder = self.commands(stub_script, files, calls=2, past_limit="sys.exit()")
@@ -758,8 +830,10 @@ class TestEarlyLaunch:
             SaturationConfig(seed=0, max_iterations=50),
         )
         assert (trace.iterations, trace.reason) == (1, StopReason.PROVIDER_EXHAUSTED)
-        seen = self.pids(files["seen"])
+        seen = self.seen(files)
         assert len(seen) == 3
+        # the empty batch's child and the spare launched for the batch after it
+        assert len(seen[-1]) == 2
         self.assert_reaped_unfed(seen[-1], files)
 
     def test_wrapper_script_children_are_killed_with_it(self, stub_script, files):
@@ -771,11 +845,14 @@ class TestEarlyLaunch:
             SaturationConfig(seed=0, max_iterations=50),
         )
         assert (trace.iterations, trace.reason) == (1, StopReason.PROVIDER_EXHAUSTED)
-        last = self.pids(files["seen"])[-1]
+        seen = self.seen(files)
         # a stub left running would read EOF on its closed stdin and record itself
         time.sleep(1)
-        assert self.pids(files["fed"]) == self.pids(files["seen"])[:-1]
-        assert last not in self.pids(files["fed"])
+        fed = self.fed(files)
+        assert len(fed) == 2
+        assert all(pid in alive for pid, alive in zip(fed, seen))
+        assert len(seen[-1]) == 2
+        assert not seen[-1] & set(fed)
 
     def test_child_is_killed_unfed_on_provider_failure(self, stub_script, files):
         provider, embedder = self.commands(
@@ -785,8 +862,9 @@ class TestEarlyLaunch:
                            SaturationConfig(seed=0, max_iterations=50))
         assert len(ei.value.trace_steps) == 0
         assert ei.value.partial_set.size == 4
-        seen = self.pids(files["seen"])
+        seen = self.seen(files)
         assert len(seen) == 2
+        assert len(seen[-1]) == 2
         self.assert_reaped_unfed(seen[-1], files)
 
     def test_child_is_killed_unfed_on_interrupt(self, stub_script, files):
@@ -795,12 +873,44 @@ class TestEarlyLaunch:
 
         class Interrupted:
             def next_batch(self, count, context=None):
-                pids.append(wait_for_launch(files["launched"]))
+                # the bootstrap's child and the spare for iteration 1
+                pids.extend(wait_for_launches(files["launched"], 2))
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
             run_saturation(4, Interrupted(), external_embedder(embedder))
-        self.assert_reaped_unfed(pids[0], files)
+        assert len(pids) == 2
+        self.assert_reaped_unfed(pids, files)
+
+    @pytest.mark.parametrize("failure, error", [
+        ("provider", ProviderError), ("embedder", EmbedderError), ("interrupt", KeyboardInterrupt),
+    ])
+    def test_failure_reaps_both_children_and_keeps_the_steps(
+        self, stub_script, files, failure, error
+    ):
+        # the third batch (iteration 2) fails, while its child and the spare run
+        provider, embedder = self.commands(
+            stub_script, files, calls=2 if failure == "provider" else 100,
+            past_limit="sys.exit('backend gone')", fail_past=2 if failure == "embedder" else 1000,
+        )
+        source = external_provider(provider)
+        if failure == "interrupt":
+            source = InterruptedAt(source, call=3)
+        with pytest.raises(error) as ei:
+            run_saturation(4, source, external_embedder(embedder),
+                           SaturationConfig(seed=0, max_iterations=50))
+        if error is not KeyboardInterrupt:
+            assert len(ei.value.trace_steps) == 1
+            assert ei.value.partial_set.size == 4 + 1
+        alive = self.seen(files)[-1]
+        assert len(alive) == 2
+        fed = self.fed(files)
+        assert len(fed) == (3 if failure == "embedder" else 2)
+        for pid in alive:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        # the spare was never fed; the failing batch's child was only if it ran
+        assert len(alive - set(fed)) == (1 if failure == "embedder" else 2)
 
     @pytest.mark.parametrize("provider_fails, error", [(True, ProviderError), (False, SpawnError)])
     def test_launch_failure_is_raised_where_the_embed_runs(
@@ -820,7 +930,7 @@ class TestEarlyLaunch:
 
         class Slow:
             def next_batch(self, count, context=None):
-                wait_for_launch(files["launched"])
+                wait_for_launches(files["launched"], 1)
                 time.sleep(1.5)
                 return ["a", "b"][:count]
 
