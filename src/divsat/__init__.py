@@ -58,6 +58,22 @@ _positive_int = _rule(numbers.Integral, "an integer", lambda v: v >= 1, ">= 1")
 _fraction = _rule(numbers.Real, "a number", lambda v: 0 < v <= 1, "in (0, 1]")
 _positive = _rule(numbers.Real, "a finite positive number", lambda v: 0 < v and _finite(v))
 _seconds = _rule(numbers.Real, f"seconds in (0, {_MAX_TIMEOUT}]", lambda v: 0 < v <= _MAX_TIMEOUT)
+_correlation = _rule(numbers.Real, "a number", lambda v: -1 <= v <= 1, "in [-1, 1]")
+_float_integer = _rule(numbers.Integral, "an integer", _finite, "within float range")
+_finite_number = _rule(numbers.Real, "a finite number", _finite)
+
+
+def _vector(name: str, values, k: int, error=ValueError) -> tuple[float, ...]:
+    """``values`` as a tuple of k floats, each a finite number by the scalar
+    rule (a bool or a string is none), or ``error`` naming the argument."""
+    try:
+        entries = () if isinstance(values, (str, bytes)) else tuple(values)
+        if len(entries) == k:
+            return tuple(float(_finite_number(name, v)) for v in entries)
+    except (TypeError, ValueError):
+        pass
+    raise error(f"{name} must be {k} finite numbers, got {values!r}")
+
 
 # public name -> the submodule that defines it
 _SUBMODULE = {

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _correlation, _float_integer
 from .diversity import DiversityScore, diversity_report
 from .embedset import EmbeddingSet, _same_dimension
 from .errors import (
@@ -102,10 +103,10 @@ def pearson_p(r: float, n: int) -> float:
     degrees of freedom, evaluated through the regularized incomplete beta
     identity, so p(0, n) = 1 and p(+/-1, n) = 0 exactly.
     """
+    _float_integer("n", n)
     if n < 3:
         raise InsufficientSamples(f"p-value needs n >= 3, got {n}")
-    if not -1.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [-1, 1], got {r}")
+    _correlation("r", r)
     if abs(r) == 1.0:
         return 0.0
     # scipy is imported here, not at module level, so that `import divsat`

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
-from . import __version__, _count, _fraction, _positive, _positive_int, _seconds
+from . import __version__, _count, _fraction, _positive, _positive_int, _seconds, _vector
 from .errors import (
     DivsatError,
     IoError,
@@ -225,20 +224,16 @@ def _kernel_from_args(args: argparse.Namespace) -> KernelConfig:
     return KernelConfig() if args.bandwidth is None else KernelConfig(bandwidth=args.bandwidth)
 
 
-def _parse_vector(raw: str | None, k: int, flag: str) -> list[float] | None:
+def _parse_vector(raw: str | None, k: int, flag: str) -> tuple[float, ...] | None:
+    """The flag's comma-separated numbers, a single one repeated k times, by the vector rule."""
     if raw is None:
         return None
     try:
         parts = [float(p) for p in raw.split(",")]
+        return _vector(flag, parts * k if len(parts) == 1 else parts, k)
     except ValueError:
-        raise UsageError(f"{flag} must be a float or comma-separated floats") from None
-    if not all(math.isfinite(v) for v in parts):
-        raise UsageError(f"{flag} values must be finite")
-    if len(parts) == 1:
-        return parts * k
-    if len(parts) != k:
-        raise UsageError(f"{flag} needs 1 or {k} values, got {len(parts)}")
-    return parts
+        raise UsageError(f"{flag} must be 1 or {k} comma-separated finite numbers, "
+                         f"got {raw!r}") from None
 
 
 def _score_dict(score: DiversityScore) -> dict:
@@ -434,8 +429,9 @@ def cmd_synth_provider(args: argparse.Namespace) -> None:
     # batch and killed when none came leaves the counter as it was.
     calls_before = _bump_state(args.state, 1)
     offset = None
-    if drift is not None:
-        offset = [v * float(calls_before) for v in drift]
+    if drift is not None:  # the drift of the earlier calls, which a finite --drift can overflow
+        offset = _vector(f"--drift times {calls_before} calls", [v * calls_before for v in drift],
+                         args.k, NonFiniteValue)
     out_lines = []
     for i, obj in json_objects(split_lines(text), MalformedLine, "stdin line"):
         if "text" not in obj:
@@ -450,6 +446,7 @@ def cmd_filter_run(args: argparse.Namespace) -> dict:
 
     judge = _external(external_judge, args.judge, "--judge", args.timeout)
     items = [c for c in load_captions(args.captions) if c.activity == args.activity]
+    _check_writable(args.out, "--out")
     verdicts = run_filter(args.activity, items, judge, retries=args.retries)
     write_verdicts(verdicts, args.out)
     kept = sum(1 for v in verdicts if v.keep)

@@ -9,30 +9,15 @@ sampler over that pinned generator.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _count, _integer, _positive, _positive_int
+from . import _count, _integer, _positive, _positive_int, _vector
 from .embedset import EmbeddingSet
 from .errors import EmptySet, NonFiniteValue
 from .rng import make_rng
-
-
-def _vector(name: str, values: Sequence[float], k: int) -> tuple[float, ...]:
-    """``values`` as k finite floats; any other length, an entry that is not a
-    number (a nested list included) or a NaN or infinity raises ValueError."""
-    try:
-        vector = tuple(float(v) for v in values)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be {k} finite numbers") from None
-    if len(vector) != k:
-        raise ValueError(f"{name} has {len(vector)} entries, expected {k}")
-    if not all(math.isfinite(v) for v in vector):
-        raise ValueError(f"{name} entries must be finite")
-    return vector
 
 
 @dataclass(frozen=True)
@@ -86,10 +71,8 @@ class SyntheticSource:
         self._spec = spec
         self._rng = make_rng(spec.seed)
         self._mean = spec.mean_vector()
-        if drift is None:
-            self._drift = np.zeros(spec.k)
-        else:
-            self._drift = np.array(_vector("drift", drift, spec.k))
+        drift = (0.0,) * spec.k if drift is None else drift
+        self._drift = np.array(_vector("drift", drift, spec.k))
         self._token_counter = 0
         self._draw_counter = 0
 
@@ -126,8 +109,8 @@ def token_vector(text: str, spec: GaussianSpec, offset: Sequence[float] | None =
 
     Lets a stateless subprocess embed tokens reproducibly; distinct tokens
     get independent draws, identical tokens always get the same vector.
-    A draw that overflows to infinity (a huge sigma, mean or offset) raises
-    NonFiniteValue.
+    ``offset``, added to the draw, must be k finite numbers. A draw that
+    overflows to infinity (a huge sigma, mean or offset) raises NonFiniteValue.
     """
     digest = hashlib.blake2b(
         f"{spec.seed}|{text}".encode("utf-8"), digest_size=8
@@ -136,7 +119,7 @@ def token_vector(text: str, spec: GaussianSpec, offset: Sequence[float] | None =
     with np.errstate(over="ignore", invalid="ignore"):
         value = spec.mean_vector() + spec.sigma * rng.standard_normal(spec.k)
         if offset is not None:
-            value = value + np.asarray(offset, dtype=np.float64)
+            value = value + np.array(_vector("offset", offset, spec.k))
     if not np.isfinite(value).all():
         raise NonFiniteValue(f"the draw for token {text!r} is not finite")
     return value

@@ -1,8 +1,8 @@
-"""Argument rules: every count, seed, fraction, length and timeout the library
-takes is checked by one rule from ``divsat/__init__.py``, which rejects a
-bool or a non-number with ValueError naming the argument and accepts numpy
-numbers. (``mmd_calculator``'s ``repetitions`` raises InvalidRepetitions,
-tested with the estimator.)"""
+"""Argument rules: every count, seed, fraction, length, timeout and vector the
+library takes is checked by one rule from ``divsat/__init__.py``, which
+rejects a bool or a non-number with ValueError naming the argument and
+accepts numpy numbers. (``mmd_calculator``'s ``repetitions`` raises
+InvalidRepetitions, tested with the estimator.)"""
 
 import ast
 import sys
@@ -16,6 +16,7 @@ from divsat import (
     GaussianSpec,
     KernelConfig,
     SaturationConfig,
+    SyntheticSource,
     external_embedder,
     external_judge,
     external_provider,
@@ -23,9 +24,11 @@ from divsat import (
     gaussian_set,
     mmd_calculator,
     parse_filter_response,
+    pearson_p,
     run_filter,
     run_saturation,
     stationary_provider,
+    token_vector,
 )
 from conftest import SRC
 
@@ -53,7 +56,7 @@ REJECTED = {
     # math.isfinite raises OverflowError for an integer beyond float range
     "GaussianSpec sigma=10**400": (lambda: GaussianSpec(k=2, sigma=10**400), "sigma"),
     "KernelConfig bandwidth=10**400": (lambda: KernelConfig(bandwidth=10**400), "bandwidth"),
-    # float() raises TypeError for a list entry
+    # a list is no vector entry
     "GaussianSpec nested mean": (lambda: GaussianSpec(k=2, mean=[[1, 2], [3, 4]]), "mean"),
     "DriftSpec nested drift": (lambda: DriftSpec(GaussianSpec(k=2), drift=[[1, 2], [3, 4]]),
                                "drift"),
@@ -73,7 +76,38 @@ REJECTED = {
     "external_provider timeout='5'": (lambda: external_provider(COMMAND, timeout="5"), "timeout"),
     "external_embedder timeout='5'": (lambda: external_embedder(COMMAND, timeout="5"), "timeout"),
     "external_judge timeout='5'": (lambda: external_judge(COMMAND, timeout="5"), "timeout"),
+    "pearson_p r=True": (lambda: pearson_p(True, 10), "r"),
+    "pearson_p r='0.5'": (lambda: pearson_p("0.5", 10), "r"),
+    "pearson_p n=3.7": (lambda: pearson_p(0.5, 3.7), "n"),
+    "pearson_p n=10**400": (lambda: pearson_p(0.5, 10**400), "n"),
 }
+
+# each vector argument, given a value for k=2: (the call, the argument it names)
+VECTOR_ARGUMENTS = {
+    "GaussianSpec mean": (lambda v: GaussianSpec(k=2, mean=v), "mean"),
+    "DriftSpec drift": (lambda v: DriftSpec(GaussianSpec(k=2), drift=v), "drift"),
+    "SyntheticSource drift": (lambda v: SyntheticSource(GaussianSpec(k=2), drift=v), "drift"),
+    "token_vector offset": (lambda v: token_vector("t", GaussianSpec(k=2), offset=v), "offset"),
+}
+BAD_VECTORS = {
+    # a string is not read one character at a time
+    "'12'": "12",
+    "['1.5', True]": ["1.5", True],
+    "[np.True_, 1.0]": [np.True_, 1.0],
+    "['0.5', False]": ["0.5", False],
+    "['1', '2']": ["1", "2"],
+    # one value is not repeated across the k axes
+    "(1.0,)": (1.0,),
+    "(1.0, 2.0, 3.0)": (1.0, 2.0, 3.0),
+    "(inf, 0.0)": (float("inf"), 0.0),
+    "(10**400, 0.0)": (10**400, 0.0),
+    "0-d array": np.array(1.0),
+}
+REJECTED.update({
+    f"{call} {label}": (lambda make=make, value=value: make(value), name)
+    for call, (make, name) in VECTOR_ARGUMENTS.items()
+    for label, value in BAD_VECTORS.items()
+})
 
 
 @pytest.mark.parametrize("case", REJECTED)
@@ -119,6 +153,22 @@ ACCEPTED = {
 def test_numpy_numbers_are_accepted(case):
     numpy_call, python_call = ACCEPTED[case]
     assert numpy_call() == python_call()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32])
+def test_numpy_vectors_are_accepted(dtype):
+    # each entry becomes float() of itself, as a tuple of Python floats would
+    values = np.array([1.5, -2.0, 0.1]).astype(dtype)
+    want = tuple(float(v) for v in values)
+    spec = GaussianSpec(k=3, mean=values)
+    assert spec.mean == want and all(type(v) is float for v in spec.mean)
+    assert DriftSpec(spec, drift=values).drift == want
+    drifting, plain = SyntheticSource(spec, drift=values), SyntheticSource(spec, drift=want)
+    for _ in range(2):
+        assert drifting.embed(["a", "b"]) == plain.embed(["a", "b"])
+    assert np.array_equal(token_vector("t", spec, offset=values),
+                          token_vector("t", spec, offset=want))
+    assert GaussianSpec(k=3, mean=list(values)).mean == want
 
 
 @pytest.mark.parametrize("path", sorted((SRC / "divsat").glob("*.py")), ids=lambda p: p.name)

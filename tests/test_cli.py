@@ -419,7 +419,8 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--sigma", "0"), ("--sigma", "-1"), ("--sigma", "nan"), ("--sigma", "inf"),
-        ("--mean-shift", "inf"), ("--mean-shift", "0,nan"),
+        ("--mean-shift", "inf"), ("--mean-shift", "0,nan"), ("--mean-shift", "1,2,3"),
+        ("--mean-shift", "True"),
     ])
     def test_bad_distribution_rejected(self, run_cli, tmp_path, flag, value):
         out = tmp_path / "x.jsonl"
@@ -433,6 +434,8 @@ class TestSynthCommand:
     @pytest.mark.parametrize("role, flag, value", [
         ("provider", "--sigma", "-1"), ("embedder", "--sigma", "inf"),
         ("embedder", "--mean", "nan"), ("embedder", "--drift", "inf"),
+        ("embedder", "--mean", "1,2,3"), ("provider", "--drift", "0.5,x"),
+        ("embedder", "--drift", "1e400"),
         ("provider", "--limit", "-1"), ("provider", "--count", "-1"),
     ])
     def test_provider_bad_distribution_rejected(self, run_cli, tmp_path, role, flag, value):
@@ -540,6 +543,19 @@ class TestSynthProviderCommand:
             "synth-provider", "--role", "embedder", "--k", 3, "--sigma", "1e308", stdin=stdin,
         )
         assert code == 1
+        assert error_of(err)["code"] == "non_finite_value"
+        assert out == ""
+
+    def test_embedder_overflowing_drift_offset_is_non_finite(self, run_cli, tmp_path):
+        # a finite --drift whose offset after three earlier calls overflows
+        state = tmp_path / "state"
+        state.write_text("3")
+        code, out, err = run_cli(
+            "synth-provider", "--role", "embedder", "--k", 2, "--drift", "1e308",
+            "--state", state, stdin='{"text": "a"}\n',
+        )
+        assert code == 1
+        assert "Traceback" not in err
         assert error_of(err)["code"] == "non_finite_value"
         assert out == ""
 
@@ -1171,6 +1187,33 @@ class TestFilterCommands:
         assert "Traceback" not in err
         assert not marker.exists()
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "missing-directory"])
+    def test_unwritable_out_fails_before_the_judge_runs(self, run_cli, write_jsonl, stub_script,
+                                                        tmp_path, kind):
+        captions = self.write_captions(write_jsonl, n=2)
+        calls = tmp_path / "judge-calls"
+        judge = stub_script(f"""
+            import pathlib
+            calls = pathlib.Path({str(calls)!r})
+            calls.write_text(str(int(calls.read_text()) + 1 if calls.exists() else 1))
+            print("1. yes")
+            print("2. yes")
+            """)
+        folder = tmp_path / "verdicts"
+        folder.mkdir()
+        out = folder if kind == "directory" else tmp_path / "no-such-dir" / "v.jsonl"
+        code, stdout, err = run_cli(
+            "filter", "run", "--activity", "walking", "--captions", captions,
+            "--judge", quoted(*judge), "--out", out, timeout=300,
+        )
+        assert code == 1
+        error = error_of(err)
+        assert error["code"] == "io_error" and error["message"].startswith("--out")
+        assert stdout == ""
+        assert not calls.exists()
+        assert list(folder.iterdir()) == []
+        assert not (tmp_path / "no-such-dir").exists()
 
     @pytest.mark.parametrize("value", ["", "  "])
     def test_empty_judge_rejected_before_anything_runs(self, run_cli, tmp_path, value):

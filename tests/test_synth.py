@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -83,11 +85,13 @@ class TestProviders:
     def test_non_finite_drift_is_rejected_when_constructed(self):
         # caught where the drift is given, not at the first batch drawn with it
         for drift in ((float("nan"), 0.0), (0.0, float("inf"))):
-            with pytest.raises(ValueError, match="^drift entries must be finite$"):
+            message = f"^drift must be 2 finite numbers, got {re.escape(repr(drift))}$"
+            with pytest.raises(ValueError, match=message):
                 DriftSpec(GaussianSpec(k=2), drift)
-            with pytest.raises(ValueError, match="^drift entries must be finite$"):
+            with pytest.raises(ValueError, match=message):
                 SyntheticSource(GaussianSpec(k=2), drift)
-        with pytest.raises(ValueError, match="^drift has 3 entries, expected 2$"):
+        with pytest.raises(ValueError,
+                           match=r"^drift must be 2 finite numbers, got \(0.0, 0.0, 0.0\)$"):
             SyntheticSource(GaussianSpec(k=2), (0.0, 0.0, 0.0))
 
     def test_drift_zero_reduces_to_stationary(self):
