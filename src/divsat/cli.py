@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from . import __version__, _count, _fraction, _positive, _positive_int, _seconds, _vector
@@ -33,8 +32,9 @@ if TYPE_CHECKING:
     from .diversity import DiversityScore
     from .kernel import KernelConfig
 
-# Each handler imports the divsat modules it runs, so a process pays only
-# for its subcommand: --version, usage errors, filter run and eval and the
+# Each handler imports the divsat modules it runs, and the standard modules
+# only some handlers use (dataclasses), so a process pays only for its
+# subcommand: --version, usage errors, filter run and eval and the
 # synth-provider provider role start without numpy.
 
 
@@ -260,6 +260,8 @@ def cmd_diversity(args: argparse.Namespace) -> dict:
 
 
 def cmd_mmd(args: argparse.Namespace) -> dict:
+    from dataclasses import asdict
+
     from .embedset import load_set
     from .kernel import mmd_calculator
 
@@ -418,9 +420,13 @@ def cmd_synth_provider(args: argparse.Namespace) -> None:
     # how many batches came before, which positions the drifting mean
     from ._proc import json_objects, split_lines
     from .embedset import _row_json
+    from .rng import make_rng
     from .synth import GaussianSpec, token_vector
 
     spec = GaussianSpec(k=args.k, sigma=args.sigma, mean=mean, seed=args.seed)
+    # numpy.random loads with the first generator: build one before the batch
+    # arrives, so a child started ahead has done it by then
+    make_rng(spec.seed)
     try:
         text = sys.stdin.buffer.read().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -430,8 +436,11 @@ def cmd_synth_provider(args: argparse.Namespace) -> None:
     calls_before = _bump_state(args.state, 1)
     offset = None
     if drift is not None:  # the drift of the earlier calls, which a finite --drift can overflow
-        offset = _vector(f"--drift times {calls_before} calls", [v * calls_before for v in drift],
-                         args.k, NonFiniteValue)
+        try:
+            scaled = [v * calls_before for v in drift]
+        except OverflowError:
+            raise NonFiniteValue("--state counts more calls than a float holds") from None
+        offset = _vector(f"--drift times {calls_before} calls", scaled, args.k, NonFiniteValue)
     out_lines = []
     for i, obj in json_objects(split_lines(text), MalformedLine, "stdin line"):
         if "text" not in obj:
@@ -460,6 +469,8 @@ def cmd_filter_run(args: argparse.Namespace) -> dict:
 
 
 def cmd_filter_eval(args: argparse.Namespace) -> dict:
+    from dataclasses import asdict
+
     from .filtergate import evaluate_filter, load_truth, load_verdicts
 
     metrics = evaluate_filter(load_verdicts(args.verdicts), load_truth(args.truth))
@@ -502,6 +513,8 @@ def _load_series_file(path) -> tuple[str, list]:
 
 
 def cmd_correlate(args: argparse.Namespace) -> dict:
+    from dataclasses import asdict
+
     from .analysis import aggregate_r, correlation_report
 
     shapes, series = {}, {}
@@ -609,4 +622,17 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    """Run ``dispatch``, then end the process as soon as its output is flushed.
+
+    ``os._exit`` skips interpreter teardown, tens of milliseconds once numpy
+    is imported; every file divsat writes is already closed by a ``with``.
+    An exception, or a stdout or stderr that is None, closed or broken,
+    exits the normal way, so the interpreter reports it as it always has.
+    """
+    code = dispatch()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)

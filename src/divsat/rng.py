@@ -2,8 +2,11 @@
 
 All stochastic behavior in the package flows through :func:`make_rng`, a
 single construction point for numpy's PCG64 generator; every resampling
-draw is :func:`resample`. PCG64 streams are stable for a fixed seed across
-numpy releases, which is what makes every seeded operation bit-reproducible.
+draw is :func:`resample`. A seed makes every operation bit-reproducible on
+one numpy release. Across releases NEP 19 keeps the PCG64 bit stream
+stable, but not the algorithms of ``Generator`` methods such as
+``integers`` and ``standard_normal``; the bit-pinned tests would catch such
+a change.
 """
 
 from __future__ import annotations

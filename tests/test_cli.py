@@ -559,6 +559,18 @@ class TestSynthProviderCommand:
         assert error_of(err)["code"] == "non_finite_value"
         assert out == ""
 
+    def test_embedder_call_count_beyond_float_range_is_non_finite(self, run_cli, tmp_path):
+        state = tmp_path / "state"
+        state.write_text(str(10**400))
+        code, out, err = run_cli(
+            "synth-provider", "--role", "embedder", "--k", 2, "--drift", "0.5",
+            "--state", state, stdin='{"text": "a"}\n',
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        assert error_of(err)["code"] == "non_finite_value"
+        assert out == ""
+
     def test_embedder_rejects_malformed_stdin(self, run_cli):
         code, out, err = run_cli(
             "synth-provider", "--role", "embedder", "--k", 2, stdin="not json\n"

@@ -7,6 +7,7 @@ import ast
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,37 @@ def test_lean_commands_load_no_numpy(lean_commands, command):
     assert proc.stdout
     assert "divsat.cli" in names
     assert "numpy" not in names
+
+
+@pytest.mark.parametrize("command", ["version", "provider"])
+def test_lean_commands_load_no_dataclasses(lean_commands, command):
+    proc, names = imported_modules("-m", "divsat", *lean_commands[command])
+    assert proc.stdout
+    assert "dataclasses" not in names
+
+
+def test_embedder_loads_numpy_random_before_its_batch_arrives():
+    # a child started ahead of its batch has built its first generator by then
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "importtime", "-m", "divsat", "synth-provider",
+         "--role", "embedder", "--k", "2"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=_child_env(),
+    )
+    killer = threading.Timer(60, proc.kill)  # ends the wait if the batch is needed first
+    killer.start()
+    with proc:
+        try:
+            for line in proc.stderr:
+                if line.rsplit("|", 1)[-1].strip() == "numpy.random":
+                    break
+            else:
+                pytest.fail("numpy.random did not load while the child waited for stdin")
+            out, _ = proc.communicate('{"text": "a"}\n', timeout=60)
+        finally:
+            killer.cancel()
+    assert proc.returncode == 0
+    assert len(out.splitlines()) == 1
 
 
 def test_mmd_stays_the_function_whatever_loads_the_submodule():
