@@ -61,6 +61,10 @@ _seconds = _rule(numbers.Real, f"seconds in (0, {_MAX_TIMEOUT}]", lambda v: 0 < 
 _correlation = _rule(numbers.Real, "a number", lambda v: -1 <= v <= 1, "in [-1, 1]")
 _float_integer = _rule(numbers.Integral, "an integer", _finite, "within float range")
 _finite_number = _rule(numbers.Real, "a finite number", _finite)
+_real = _rule(numbers.Real, "a real number")
+
+# the types a JSON number decodes to; a bool, None or a string is none of them
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def _vector(name: str, values, k: int, error=ValueError) -> tuple[float, ...]:
@@ -75,18 +79,32 @@ def _vector(name: str, values, k: int, error=ValueError) -> tuple[float, ...]:
     raise error(f"{name} must be {k} finite numbers, got {values!r}")
 
 
+def _series(name: str, values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats: a flat sequence of any length whose
+    entries are real numbers by the scalar rule (a bool, a string or a nested
+    sequence is none), or ValueError naming the series. An integer beyond
+    float range is NonFiniteValue; the caller judges other non-finite values."""
+    try:
+        if not isinstance(values, (str, bytes)):
+            return tuple(float(_real(f"each entry of {name}", v)) for v in values)
+    except TypeError:  # not iterable
+        pass
+    except OverflowError:
+        raise errors.NonFiniteValue("series values must be finite") from None
+    raise ValueError(f"{name} must be a flat sequence of real numbers, got {values!r}")
+
+
 # public name -> the submodule that defines it
 _SUBMODULE = {
     name: module
     for module, names in {
         "analysis": (
-            "CorrelationReport", "CorrelationResult", "DiversityImpactReport",
-            "PairedSeries", "aggregate_r", "correlate", "correlation_report",
-            "diversity_impact", "pearson_p", "pearson_r",
+            "CorrelationReport", "CorrelationResult", "PairedSeries", "aggregate_r",
+            "correlate", "correlation_report", "pearson_p", "pearson_r",
         ),
         "diversity": (
-            "AxisStats", "DiversityScore", "axis_stats", "centroid_diversity",
-            "diversity_report", "std_diversity",
+            "AxisStats", "DiversityImpactReport", "DiversityScore", "axis_stats",
+            "centroid_diversity", "diversity_impact", "diversity_report", "std_diversity",
         ),
         "embedset": ("EmbeddingSet", "load_set", "subset", "write_set"),
         "errors": (

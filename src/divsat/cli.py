@@ -396,8 +396,13 @@ def _bump_state(path: str | None, amount: int) -> int:
             base = -1
         if base < 0:
             raise UsageError(f"state file {path!r} is corrupt: {content!r}")
+        # the new text is made before the file is opened, which truncates it
+        try:
+            text = str(base + amount)
+        except ValueError:  # past the interpreter's limit on the digits of an int
+            raise UsageError(f"state file {path!r} counts past {len(content)} digits") from None
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(str(base + amount))
+            fh.write(text)
     except OSError as exc:
         raise IoError(str(exc)) from None
     return base
@@ -489,7 +494,7 @@ def _load_series_file(path) -> tuple[str, list]:
     MalformedLine naming the file, and an integer beyond float range is
     NonFiniteValue.
     """
-    from .embedset import _NUMBER_TYPES
+    from . import _NUMBER_TYPES
 
     try:
         with open(path, encoding="utf-8") as fh:
@@ -541,7 +546,7 @@ def cmd_correlate(args: argparse.Namespace) -> dict:
 
 
 def cmd_impact(args: argparse.Namespace) -> dict:
-    from .analysis import diversity_impact
+    from .diversity import diversity_impact
     from .embedset import load_set
 
     report = diversity_impact(load_set(args.before), load_set(args.after))

@@ -1,4 +1,5 @@
-"""Absolute diversity metrics for a single embedding set.
+"""Absolute diversity metrics for a single embedding set, and the change in
+them between two sets.
 
 Two scalar summaries of spread:
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedset import EmbeddingSet
+from .embedset import EmbeddingSet, _same_dimension
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,6 +40,16 @@ class DiversityScore:
     n: int
     k: int
     axis: AxisStats
+
+
+@dataclass(frozen=True, eq=False)
+class DiversityImpactReport:
+    """Absolute diversity on both sets plus signed after-minus-before deltas."""
+
+    before: DiversityScore
+    after: DiversityScore
+    delta_std: float
+    delta_centroid: float
 
 
 def axis_stats(embeddings: EmbeddingSet) -> AxisStats:
@@ -87,4 +98,17 @@ def diversity_report(embeddings: EmbeddingSet) -> DiversityScore:
         n=embeddings.size,
         k=embeddings.dimension,
         axis=AxisStats(means=means, stddevs=stddevs),
+    )
+
+
+def diversity_impact(before: EmbeddingSet, after: EmbeddingSet) -> DiversityImpactReport:
+    """Diversity of both sets and the signed change a filter caused."""
+    _same_dimension(before, after)
+    b = diversity_report(before)
+    a = diversity_report(after)
+    return DiversityImpactReport(
+        before=b,
+        after=a,
+        delta_std=a.std_metric - b.std_metric,
+        delta_centroid=a.centroid_metric - b.centroid_metric,
     )

@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Sequence, Sized
 
 import numpy as np
 
+from . import _NUMBER_TYPES
 from .errors import (
     DimensionMismatch,
     DivsatError,
@@ -168,9 +169,6 @@ def _merge(first: EmbeddingSet, second: EmbeddingSet, id_prefix: str = "") -> Em
         first._labels + second._labels,
         first._metas + second._metas,
     )
-
-
-_NUMBER_TYPES = frozenset((int, float))
 
 
 def _parse_lines(lines: Iterable[str], source: str, where: str = "line") -> EmbeddingSet:

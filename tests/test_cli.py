@@ -591,6 +591,21 @@ class TestSynthProviderCommand:
         assert stdout == ""
         assert state.read_bytes() == content
 
+    @pytest.mark.parametrize("role", ["provider", "embedder"])
+    def test_state_past_the_digit_limit_leaves_the_file_as_it_was(self, run_cli, tmp_path, role):
+        # 4300 nines parse, but their successor has more digits than an int may print
+        state = tmp_path / "state"
+        state.write_text("9" * 4300)
+        code, stdout, err = run_cli(
+            "synth-provider", "--role", role, "--k", 2, "--count", 1, "--state", state,
+            stdin='{"text": "a"}\n',
+        )
+        assert code == 2
+        assert "counts past 4300 digits" in err
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert state.read_text() == "9" * 4300
+
     def test_state_in_missing_directory_is_io_error(self, run_cli, tmp_path):
         state = tmp_path / "no-such-dir" / "state"
         code, stdout, err = run_cli(

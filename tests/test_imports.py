@@ -1,7 +1,7 @@
 """Start-up stays lean: `import divsat` loads neither numpy nor scipy, each
-CLI process imports only what its subcommand runs, scipy stays off every
-path but `pearson_p`, and every child process is started by the one runner
-in `_proc.py`."""
+CLI process imports only what its subcommand runs, no divsat module imports
+scipy, `correlate` runs without numpy, and every child process is started by
+the one runner in `_proc.py`."""
 
 import ast
 import shlex
@@ -191,6 +191,19 @@ def test_mmd_command_loads_no_scipy(write_jsonl):
     assert scipy_modules(names) == []
 
 
+def test_correlate_command_loads_neither_numpy_nor_scipy(tmp_path):
+    paths = []
+    for name, values in (("text", [1.0, 2.0, 3.5, 4.0]), ("motion", [2.0, 1.0, 3.0, 5.0]),
+                         ("f1", [0.5, 0.2, 0.1, 0.9])):
+        paths += [f"--{name}", str(tmp_path / f"{name}.json")]
+        (tmp_path / f"{name}.json").write_text(repr(values))
+    proc, names = imported_modules("-m", "divsat", "correlate", *paths)
+    assert '"text_vs_motion"' in proc.stdout
+    assert "divsat.analysis" in names
+    assert "numpy" not in names
+    assert scipy_modules(names) == []
+
+
 def test_correlate_p_values_unchanged():
     from scipy.stats import pearsonr
 
@@ -253,10 +266,10 @@ def numpy_backed_modules():
 
 def test_numpy_backed_modules_are_found():
     assert {"embedset", "kernel", "rng", "saturation", "synth"} <= numpy_backed_modules()
-    assert not {"errors", "_proc", "cli", "filtergate"} & numpy_backed_modules()
+    assert not {"errors", "_proc", "cli", "filtergate", "analysis"} & numpy_backed_modules()
 
 
-@pytest.mark.parametrize("name", ["__init__.py", "cli.py", "errors.py", "_proc.py"])
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py", "errors.py", "_proc.py", "analysis.py"])
 def test_lean_modules_import_no_numpy_at_module_level(name):
     offenders = set(module_level_targets(SRC / "divsat" / name)) & (
         numpy_backed_modules() | {"numpy"}
@@ -275,6 +288,20 @@ def test_no_module_level_scipy_import(path: Path):
     ]
     assert offenders == []
     assert "scipy.spatial" not in path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "divsat").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path: Path):
+    # not even inside a function: scipy is a test and benchmark oracle only
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    offenders = [
+        f"line {node.lineno}: {name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in imported_names(node)
+        if name == "scipy" or name.startswith("scipy.")
+    ]
+    assert offenders == []
 
 
 @pytest.mark.parametrize("path", sorted((SRC / "divsat").glob("*.py")), ids=lambda p: p.name)
