@@ -459,6 +459,8 @@ def cmd_filter_run(args: argparse.Namespace) -> dict:
     from .filtergate import external_judge, load_captions, run_filter, write_verdicts
 
     judge = _external(external_judge, args.judge, "--judge", args.timeout)
+    if os.path.realpath(args.out) == os.path.realpath(args.captions):
+        raise UsageError(f"--out and --captions name the same file {args.out!r}")
     items = [c for c in load_captions(args.captions) if c.activity == args.activity]
     _check_writable(args.out, "--out")
     verdicts = run_filter(args.activity, items, judge, retries=args.retries)
@@ -626,18 +628,39 @@ def dispatch(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _reader_gone(exc: BrokenPipeError) -> None:
+    """Exit 1 with one io_error object on stderr: the reader of stdout is gone.
+
+    ``os._exit`` drops what is left in the stdout buffer, so no flush at
+    shutdown fails a second time.
+    """
+    error = {"error": {"code": IoError.code, "message": f"stdout: {exc}"}}
+    try:
+        print(json.dumps(error, sort_keys=True), file=sys.stderr, flush=True)
+    except (AttributeError, OSError, ValueError):
+        pass
+    os._exit(1)
+
+
 def main() -> None:
     """Run ``dispatch``, then end the process as soon as its output is flushed.
 
     ``os._exit`` skips interpreter teardown, tens of milliseconds once numpy
     is imported; every file divsat writes is already closed by a ``with``.
-    An exception, or a stdout or stderr that is None, closed or broken,
-    exits the normal way, so the interpreter reports it as it always has.
+    A write or flush into a pipe whose reader is gone exits 1 with an
+    io_error. Any other exception, or a stdout or stderr that is None or
+    closed, exits the normal way, so the interpreter reports it as it
+    always has.
     """
-    code = dispatch()
+    try:
+        code = dispatch()
+    except BrokenPipeError as exc:
+        _reader_gone(exc)
     try:
         sys.stdout.flush()
         sys.stderr.flush()
+    except BrokenPipeError as exc:
+        _reader_gone(exc)
     except (AttributeError, OSError, ValueError):
         sys.exit(code)
     os._exit(code)

@@ -21,6 +21,9 @@ import numpy as np
 
 from .embedset import EmbeddingSet, _same_dimension
 
+# rows per block of squared deviations in diversity_report
+_BLOCK = 1024
+
 
 @dataclass(frozen=True, eq=False)
 class AxisStats:
@@ -69,24 +72,38 @@ def centroid_diversity(embeddings: EmbeddingSet) -> float:
 def diversity_report(embeddings: EmbeddingSet) -> DiversityScore:
     """Both metrics with the centroid and axis stats, from one pass over the set.
 
-    The squared deviations from the axis means are the one n x k temporary:
-    their column sums give the variances and their row sums the centroid
-    metric. The k-fold product of the std metric is taken in log space so
-    long products of small sigmas cannot underflow; an exactly-zero sigma on
-    any axis short circuits to 0.0 before the log.
+    The squared deviations from the axis means are taken in blocks of
+    _BLOCK rows: their row sums give the centroid metric and their column
+    sums the variances. Each block's first row carries the running column
+    sums, so the columns are summed row after row as numpy sums a whole
+    (n, k) array along axis 0, bit for bit; a single column (k == 1) is one
+    block, since numpy sums it pairwise. The k-fold product of the std
+    metric is taken in log space so long products of small sigmas cannot
+    underflow; an exactly-zero sigma on any axis short circuits to 0.0
+    before the log.
     """
     values = embeddings.vectors
+    n = len(values)
+    block_rows = _BLOCK if values.shape[1] > 1 else n
     # Sums or squares that overflow leave an infinity or NaN in the report,
     # which callers reject as non-finite; numpy is not to warn on stderr too.
     with np.errstate(over="ignore", invalid="ignore"):
         means = values.mean(axis=0)
-        squares = values - means
-        squares *= squares
-        stddevs = np.sqrt(squares.sum(axis=0) / len(values))
+        row_sums = np.empty(n)
+        column_sums = np.zeros(values.shape[1])
+        block = np.empty((min(block_rows, n), values.shape[1]))
+        for start in range(0, n, block_rows):
+            rows = values[start:start + block_rows]
+            squares = np.subtract(rows, means, out=block[:len(rows)])
+            squares *= squares
+            row_sums[start:start + len(squares)] = squares.sum(axis=1)
+            squares[0] += column_sums  # squares are never -0.0, so adding 0.0 keeps bits
+            column_sums = squares.sum(axis=0)
+        stddevs = np.sqrt(column_sums / n)
         # A constant axis must report sigma exactly 0 (and its constant as the
         # mean); summing n identical floats can otherwise leave an ulp of noise.
         constant = values.max(axis=0) == values.min(axis=0)
-        centroid_metric = 0.0 if constant.all() else float(squares.sum(axis=1).mean())
+        centroid_metric = 0.0 if constant.all() else float(row_sums.mean())
         if constant.any():
             means = np.where(constant, values[0], means)
             stddevs = np.where(constant, 0.0, stddevs)

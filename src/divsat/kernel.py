@@ -19,6 +19,13 @@ are summed coordinate by coordinate from each pair's own difference vector,
 in the order scipy's ``cdist``/``pdist`` use, so a point's distance to
 itself is exactly 0, every distance equals scipy's to the bit, and no BLAS
 routine touches a value that reaches an output.
+
+The median-heuristic bandwidth stores the tiles for the kernel sums and
+selects the median from them: a weighted histogram of each distance's top
+16 bits finds the buckets of the two middle ranks, and only the distances
+in those buckets are copied and sorted. So the call holds the tiles plus
+one bucket, and in the worst case, every distance in one bucket, no more
+than one copy of the distances.
 """
 
 from __future__ import annotations
@@ -41,6 +48,12 @@ NEGATIVE_CLAMP = -1e-9
 
 # rows and columns per tile; every per-tile temporary is bounded by it
 _TILE = 128
+
+# A distance's median bucket is its top 16 bits: the sign bit (always 0),
+# the 11 exponent bits and 4 mantissa bits. +inf alone fills the last bucket,
+# since no distance is negative or NaN.
+_BUCKET_SHIFT = 48
+_INF_BUCKET = 0x7FF0
 
 
 @dataclass(frozen=True)
@@ -124,30 +137,63 @@ class _Pairs:
                 out += diff
         return out
 
+    def _counted(self):
+        """(distances, group) per stored tile, each distinct pair counted once.
+
+        A diagonal tile counts its strict upper triangle. The groups are
+        S-S, S-rest and rest-rest.
+        """
+        upper = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
+        for (rows, cols), d2 in zip(self.tiles, self._stored):
+            if rows == cols:
+                d2 = d2[upper[:len(d2), :len(d2)]]
+            yield d2.ravel(), (rows[0] >= self.n_s) + (cols[0] >= self.n_s)
+
     def median(self) -> float:
         """np.median of the positive pair distances of vstack(S, L), bit for bit.
 
-        The tiles are stored and reused by :meth:`sums`. Each distinct pair is
-        counted once, from the strict upper triangle of a diagonal tile, and
-        grouped S-S, S-rest or rest-rest. In the prefix case each S-S pair
-        occurs 4 times in that pooled stack and each S-rest pair twice, so
-        every point of S counts twice.
+        The tiles are stored and reused by :meth:`sums`. In the prefix case
+        each S-S pair occurs 4 times in that pooled stack and each S-rest pair
+        twice, so every point of S counts twice. Positive floats sort as their
+        bit patterns do, so a histogram of each distance's top 16 bits finds
+        the buckets of the two middle ranks, and only the values in those
+        buckets are collected and searched.
         """
         self._stored = [self._sqdist(*tile) for tile in self.tiles]
-        groups = ([], [], [])
-        for (rows, cols), d2 in zip(self.tiles, self._stored):
-            if rows == cols:
-                d2 = d2[np.triu_indices_from(d2, 1)]
-            groups[(rows[0] >= self.n_s) + (cols[0] >= self.n_s)].append(d2.ravel())
-        runs = []
-        for group in groups:
-            run = np.concatenate(group) if group else np.empty(0)
-            run.sort()
-            runs.append(run[np.searchsorted(run, 0.0, "right"):])
-        median = _weighted_median(runs, (4, 2, 1) if self.prefix else (1, 1, 1))
-        if not math.isfinite(median):
+        hists = np.zeros((3, _INF_BUCKET + 1), dtype=np.int64)  # one per group
+        for d2, group in self._counted():
+            if d2.size:
+                keys = d2.view(np.int64) >> _BUCKET_SHIFT
+                low = int(keys.min())
+                keys -= low
+                counts = np.bincount(keys)
+                if low == 0:  # zeros are not counted; bucket 0 also holds tiny subnormals
+                    counts[0] -= np.count_nonzero(d2 == 0.0)
+                hists[group, low:low + counts.size] += counts
+        weights = (4, 2, 1) if self.prefix else (1, 1, 1)
+        below = np.cumsum(sum(w * hist for w, hist in zip(weights, hists)))
+        count = int(below[-1])
+        if count == 0:
+            return 1.0
+        ranks = ((count - 1) // 2, count // 2)
+        first, last = (int(b) for b in np.searchsorted(below, ranks, "right"))
+        if last == _INF_BUCKET:
             raise NonFiniteValue("the median pair distance overflows to infinity")
-        return median
+        # the smallest positive value of bucket ``first`` and the largest of
+        # ``last``; no bucket between them holds a value
+        bounds = np.array([max(first << _BUCKET_SHIFT, 1), ((last + 1) << _BUCKET_SHIFT) - 1])
+        lo, hi = bounds.view(np.float64)
+        runs = [np.empty(size) for size in hists[:, first:last + 1].sum(axis=1)]
+        filled = [0, 0, 0]
+        for d2, group in self._counted():
+            picked = d2[(d2 >= lo) & (d2 <= hi)]
+            runs[group][filled[group]:filled[group] + picked.size] = picked
+            filled[group] += picked.size
+        for run in runs:
+            run.sort()
+        offset = int(below[first - 1]) if first else 0
+        middle = np.sqrt([_weighted_rank(runs, weights, rank - offset) for rank in ranks])
+        return float(np.mean(middle))
 
     def sums(self, bandwidth: float, counts: np.ndarray):
         """Kernel sums for each row c of ``counts`` (one weight per S point).
@@ -189,32 +235,23 @@ class _Pairs:
         return t, q, x
 
 
-def _weighted_median(runs: list, weights: tuple) -> float:
-    """Median of the square roots of a multiset given as sorted runs.
+def _weighted_rank(runs: list, weights: tuple, rank: int) -> float:
+    """The value of 0-based ``rank`` in a multiset given as sorted runs.
 
-    Run g stands for each of its values ``weights[g]`` times. The two middle
-    order statistics are found by bisection and averaged by np.mean, as
-    np.median does on the expanded multiset; 1.0 when it is empty.
+    Run g stands for each of its values ``weights[g]`` times. The value is
+    found by bisection: the smallest one with more than ``rank`` items at or
+    below it.
     """
-    count = sum(w * run.size for w, run in zip(weights, runs))
-    if count == 0:
-        return 1.0
+    def covers(v) -> bool:
+        return sum(w * int(np.searchsorted(run, v, "right"))
+                   for w, run in zip(weights, runs)) > rank
 
-    def at(rank: int) -> float:
-        # the smallest value with more than ``rank`` items at or below it
-        def covers(v) -> bool:
-            return sum(w * int(np.searchsorted(run, v, "right"))
-                       for w, run in zip(weights, runs)) > rank
-
-        best = math.inf
-        for run in runs:
-            i = bisect.bisect_left(range(run.size), True, key=lambda j: covers(run[j]))
-            if i < run.size:
-                best = min(best, float(run[i]))
-        return best
-
-    middle = np.sqrt([at((count - 1) // 2), at(count // 2)])
-    return float(np.mean(middle))
+    best = math.inf
+    for run in runs:
+        i = bisect.bisect_left(range(run.size), True, key=lambda j: covers(run[j]))
+        if i < run.size:
+            best = min(best, float(run[i]))
+    return best
 
 
 def median_heuristic(x_set: EmbeddingSet, y_set: EmbeddingSet) -> float:

@@ -1242,6 +1242,36 @@ class TestFilterCommands:
         assert list(folder.iterdir()) == []
         assert not (tmp_path / "no-such-dir").exists()
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    def test_out_naming_the_captions_file_is_usage_error(self, run_cli, write_jsonl,
+                                                         stub_script, tmp_path, spelling):
+        rows = [
+            {"id": "w0", "caption": "a person walks", "activity": "walking"},
+            {"id": "r0", "caption": "a person runs", "activity": "running"},
+        ]
+        captions = write_jsonl("captions.jsonl", rows)
+        before = captions.read_bytes()
+        calls = tmp_path / "judge-calls"
+        judge = stub_script(f"""
+            import pathlib
+            pathlib.Path({str(calls)!r}).write_text("called")
+            print("1. yes")
+            """)
+        (tmp_path / "sub").mkdir()
+        out = {"same": captions, "dotted": f"{tmp_path}/sub/../{captions.name}",
+               "symlink": tmp_path / "link.jsonl"}[spelling]
+        if spelling == "symlink":
+            out.symlink_to(captions)
+        code, stdout, err = run_cli(
+            "filter", "run", "--activity", "walking", "--captions", captions,
+            "--judge", quoted(*judge), "--out", out, timeout=300,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "--out and --captions name the same file" in err
+        assert not calls.exists()
+        assert captions.read_bytes() == before
+
     @pytest.mark.parametrize("value", ["", "  "])
     def test_empty_judge_rejected_before_anything_runs(self, run_cli, tmp_path, value):
         out = tmp_path / "v.jsonl"

@@ -217,3 +217,65 @@ def test_report_peak_is_one_set_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n * k * 8
+
+
+def whole_array_report(values):
+    """Per-axis sigmas and centroid metric from one n x k temporary, as numpy sums it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = values - values.mean(axis=0)
+        squares *= squares
+        return np.sqrt(squares.sum(axis=0) / len(values)), float(squares.sum(axis=1).mean())
+
+
+class TestRowBlocks:
+    """The report sums squared deviations in row blocks; its bits match the whole array's."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 64])
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2048, 3000, 8191, 8193, 20000])
+    def test_blocks_match_the_whole_array(self, n, k):
+        rng = np.random.default_rng(n * 100 + k)
+        values = rng.normal(loc=rng.uniform(-1e3, 1e3), scale=rng.uniform(0.1, 100), size=(n, k))
+        report = diversity_report(as_set(values))
+        stddevs, centroid = whole_array_report(values)
+        assert report.axis.stddevs.tobytes() == stddevs.tobytes()
+        if n > 1:
+            assert report.centroid_metric.hex() == centroid.hex()
+
+    @pytest.mark.parametrize("n", [5, 1500])
+    def test_constant_axes_across_blocks(self, n):
+        values = np.random.default_rng(n).normal(size=(n, 4))
+        values[:, 1] = 0.1
+        values[:, 3] = -7.0
+        report = diversity_report(as_set(values))
+        stddevs, centroid = whole_array_report(values)
+        assert report.axis.stddevs.tolist() == [stddevs[0], 0.0, stddevs[2], 0.0]
+        assert report.axis.means.tolist()[1::2] == [0.1, -7.0]
+        assert report.centroid_metric.hex() == centroid.hex()
+        assert report.std_metric == 0.0
+
+    @pytest.mark.parametrize("n", [3, 2000])
+    def test_overflowing_squares_match_the_whole_array(self, n):
+        values = np.random.default_rng(n).normal(size=(n, 3))
+        values[::2, 0] = 1e200
+        values[1::2, 0] = -1e200
+        values[-1, 2] = 3e200
+        report = diversity_report(as_set(values))
+        stddevs, centroid = whole_array_report(values)
+        assert report.axis.stddevs.tobytes() == stddevs.tobytes()
+        assert math.isinf(stddevs[0]) and math.isinf(centroid)
+        assert report.centroid_metric == centroid
+
+
+def test_report_holds_no_set_sized_temporary():
+    import tracemalloc
+
+    n, k = 20000, 64
+    embeddings = as_set(np.random.default_rng(3).normal(size=(n, k)))
+    tracemalloc.start()
+    try:
+        diversity_report(embeddings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of 1024 rows plus the n row sums
+    assert peak < 0.1 * n * k * 8

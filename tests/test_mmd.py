@@ -402,6 +402,102 @@ def test_median_heuristic_is_pooled_pdist_median(first, second, prefix):
     assert mmd_calculator(s_set, l_set, repetitions=2).bandwidth_used == want
 
 
+def bucket(distance):
+    """The top 16 bits of a squared distance, where the median is selected."""
+    return int(np.float64(distance * distance).view(np.int64)) >> 48
+
+
+def middle_buckets(small, large):
+    """Buckets of the two middle order statistics of the oracle's pooled distances."""
+    from scipy.spatial.distance import pdist
+
+    distances = np.sort(pdist(np.vstack([small, large])))
+    positive = distances[distances > 0]
+    count = positive.size
+    return count, bucket(positive[(count - 1) // 2]), bucket(positive[count // 2])
+
+
+def assert_median_is_oracle(small, large):
+    want = pooled_pdist_median(small, large)
+    s_set, l_set = as_set(small), as_set(large, prefix="y")
+    assert median_heuristic(s_set, l_set).hex() == want.hex()
+    assert median_heuristic(l_set, s_set).hex() == want.hex()
+
+
+class TestMedianSelection:
+    """The median is selected from a histogram of the distances' top bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 140), st.integers(1, 140), st.sampled_from([1, 2, 5]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_pooled_pdist_median_across_the_tile_edge(self, n_s, extra, k, prefix, seed):
+        # one decimal place gives ties, duplicate rows and equal distances
+        rng = np.random.default_rng(seed)
+        large = np.round(rng.normal(size=(n_s + extra, k)), 1)
+        small = large[:n_s].copy() if prefix else np.round(rng.normal(size=(n_s, k)), 1)
+        assert_median_is_oracle(small, large)
+
+    @pytest.mark.parametrize("prefix", [True, False], ids=["prefix", "separate"])
+    def test_every_distance_in_one_bucket(self, prefix):
+        # rows of c * I are all sqrt(2 c^2) apart
+        rows = 3.0 * np.eye(140)
+        small, large = (rows[:60], rows) if prefix else (rows[:60], rows[60:])
+        count, first, last = middle_buckets(small, large)
+        assert count > 0 and first == last
+        assert_median_is_oracle(small, large)
+        assert median_heuristic(as_set(small), as_set(large, prefix="y")) == math.sqrt(18.0)
+
+    @pytest.mark.parametrize("small, large", [
+        ([[0.0], [1.0]], [[0.0], [1.0], [2.0], [3.0], [8.0], [20.0]]),
+        ([[0.0], [1.0]], [[10.0], [11.0]]),
+    ], ids=["prefix", "separate"])
+    def test_middle_values_in_different_buckets(self, small, large):
+        small, large = np.array(small), np.array(large)
+        count, first, last = middle_buckets(small, large)
+        assert count % 2 == 0 and first != last
+        assert_median_is_oracle(small, large)
+
+    @pytest.mark.parametrize("prefix", [True, False], ids=["prefix", "separate"])
+    def test_zeros_next_to_subnormal_distances(self, prefix):
+        # squared distances of about 1e-320 are subnormal and share bucket 0
+        # with the zero distances of the duplicate rows, which are not counted
+        rng = np.random.default_rng(4)
+        large = rng.integers(0, 6, size=(150, 2)) * 1e-160
+        large[::4] = large[0]
+        small = large[:40].copy() if prefix else rng.integers(0, 6, size=(40, 2)) * 1e-160
+        count, first, last = middle_buckets(small, large)
+        assert first == last == 0
+        assert_median_is_oracle(small, large)
+
+    @pytest.mark.parametrize("prefix", [True, False], ids=["prefix", "separate"])
+    def test_duplicate_rows_and_all_zero_sets(self, prefix):
+        rows = np.zeros((140, 3))
+        rows[::2] = [1.0, 2.0, 3.0]
+        small = rows[:50].copy() if prefix else rows[50:].copy()
+        assert_median_is_oracle(small, rows)
+        zeros = np.zeros((130, 3))
+        assert median_heuristic(as_set(zeros[:40]), as_set(zeros, prefix="y")) == 1.0
+
+    @pytest.mark.parametrize("prefix", [True, False], ids=["prefix", "separate"])
+    def test_overflow_past_the_middle_is_non_finite(self, prefix):
+        # rows moved to +-1e200 overflow their distances to the other rows: a
+        # tenth of them leaves the median finite, nine tenths make it infinite
+        rng = np.random.default_rng(6)
+        for far_share, finite in [(0.1, True), (0.9, False)]:
+            large = rng.normal(size=(140, 2))
+            far = rng.random(140) < far_share
+            large[far, 0] = np.where(rng.random(far.sum()) < 0.5, 1e200, -1e200)
+            small = large[:50].copy() if prefix else large[50:].copy() + 0.5
+            want = pooled_pdist_median(small, large)
+            assert math.isfinite(want) == finite
+            s_set, l_set = as_set(small), as_set(large, prefix="y")
+            if finite:
+                assert median_heuristic(s_set, l_set) == want
+            else:
+                with pytest.raises(NonFiniteValue):
+                    median_heuristic(s_set, l_set)
+
+
 def pinned_estimate(n_s, prefix, bandwidth, normalized):
     """The estimate whose bits are pinned: n_s small rows against n_s + 131 large."""
     small, large = engine_pair(n_s, n_s + 131, 4, prefix, duplicates=True, seed=n_s)
@@ -475,6 +571,18 @@ class TestEngineResources:
         d = first.size + second.size
         peak = traced_peak(lambda: mmd_calculator(first, second, repetitions=10, seed=1))
         assert peak <= 1.5 * d * d * 8
+
+    @pytest.mark.parametrize("sizes, prefix", [((2000, 2100), True), ((1000, 1100), False)],
+                             ids=["prefix", "separate"])
+    def test_median_heuristic_peak_is_the_tiles_plus_the_median_bucket(self, sizes, prefix):
+        # the stored tiles take about D^2 * 8 / 2 bytes; no sorted copy of
+        # every distance is made next to them
+        n_s, n_l = sizes
+        small, large = engine_pair(n_s, n_l, 64, prefix, duplicates=False, seed=2)
+        s_set, l_set = as_set(small), as_set(large, prefix="y")
+        d = n_l if prefix else n_s + n_l
+        peak = traced_peak(lambda: median_heuristic(s_set, l_set))
+        assert peak <= 0.75 * d * d * 8
 
     def test_explicit_bandwidth_peak_does_not_grow_quadratically(self):
         cfg = KernelConfig(bandwidth=11.0)
