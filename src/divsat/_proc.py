@@ -1,5 +1,9 @@
 """The one subprocess runner behind the external-command wrappers, and the
-JSON Lines helpers they share with the file loaders."""
+JSON Lines helpers they share with the file loaders.
+
+Every external command (provider, embedder, judge) runs as a ``_Child``
+with one lifecycle: launch, feed, discard; see ``External``.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ import os
 import shlex
 import signal
 import subprocess
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import _seconds
 from .errors import DivsatError, IoError, MalformedLine, ProtocolError, SpawnError
@@ -77,7 +81,14 @@ def json_objects(
 
 
 class External:
-    """One external command run to completion per call.
+    """One external command, run as a fresh child per call.
+
+    A child's lifecycle is launch, feed, discard. ``_launch`` starts the
+    command in its own session with three pipes, before its input need
+    exist; the child's ``finish`` writes the whole input, waits for the exit
+    and returns the stdout; its ``discard`` kills the process group of a
+    child still running (one left unfed has read nothing), closes the pipes
+    and reaps it. ``_run`` is the three in a row.
 
     Subclasses name their role's error as ``failure``. A non-zero exit
     raises it with the last five stderr lines, a timeout raises it too, and
@@ -104,61 +115,66 @@ class External:
 
     def _run(self, *extra_args: str, input_text: str | None = None) -> str:
         """Run the command with ``extra_args`` appended; return its stdout."""
-        with self._started(*extra_args) as finish:
-            return finish(input_text)
-
-    @contextlib.contextmanager
-    def _started(self, *extra_args: str) -> Iterator[Callable[[str | None], str]]:
-        """Launch the command now; yield the call that writes its input and returns its stdout.
-
-        A launch failure is raised by that call, not here, and the timeout
-        counts from it. However the block ends, a child still running is
-        then killed with its process group, and reaped: one the call never
-        reached has read no input.
-        """
-        argv = [*self._argv, *extra_args]
+        child = self._launch(*extra_args)
         try:
-            proc = subprocess.Popen(
+            return child.finish(input_text)
+        finally:
+            child.discard()
+
+    def _launch(self, *extra_args: str) -> _Child:
+        """Start the command with ``extra_args`` appended, before its input is ready."""
+        return _Child([*self._argv, *extra_args], self.failure, self._timeout)
+
+
+class _Child:
+    """One launched command, fed once by ``finish`` and ended by ``discard``.
+
+    A launch failure is held as a SpawnError for ``finish`` to raise.
+    """
+
+    def __init__(self, argv: list[str], failure: type[DivsatError], timeout: float):
+        self._failure = failure
+        self._timeout = timeout
+        self._proc: subprocess.Popen | None = None
+        try:
+            self._proc = subprocess.Popen(
                 argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                 start_new_session=True,
             )
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in an argument
-            launch_error = SpawnError(f"cannot launch {argv[0]!r}: {exc}")
+            self._launch_error = SpawnError(f"cannot launch {argv[0]!r}: {exc}")
 
-            def failed(input_text: str | None) -> str:
-                raise launch_error
-
-            yield failed
-            return
-        try:
-            yield lambda input_text: self._finish(proc, argv[0], input_text)
-        finally:
-            _discard(proc)
-
-    def _finish(self, proc: subprocess.Popen, name: str, input_text: str | None) -> str:
+    def finish(self, input_text: str | None) -> str:
+        """Feed ``input_text`` (None feeds nothing), return the stdout; the timeout starts here."""
+        proc = self._proc
+        if proc is None:
+            raise self._launch_error
+        name = proc.args[0]
         payload = None if input_text is None else input_text.encode("utf-8")
         try:
             stdout, stderr = proc.communicate(payload, timeout=self._timeout)
         except subprocess.TimeoutExpired:
-            raise self.failure(f"{name!r} timed out after {self._timeout}s") from None
+            raise self._failure(f"{name!r} timed out after {self._timeout}s") from None
         if proc.returncode != 0:
             tail = stderr.decode("utf-8", "replace").strip().splitlines()[-5:]
             detail = " | ".join(tail) if tail else "no stderr"
-            raise self.failure(f"{name!r} exited {proc.returncode}: {detail}")
+            raise self._failure(f"{name!r} exited {proc.returncode}: {detail}")
         try:
             return stdout.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"{name!r} wrote output that is not UTF-8: {exc}") from None
 
-
-def _discard(proc: subprocess.Popen) -> None:
-    """Kill the child's process group unless the child has exited, close its pipes, and reap it."""
-    # The child leads its own group, so whatever a wrapper script started dies
-    # with it; killed before its stdin closes, none of them sees EOF and runs
-    # an empty batch.
-    if proc.poll() is None:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(proc.pid, signal.SIGKILL)
-    for pipe in (proc.stdin, proc.stdout, proc.stderr):
-        pipe.close()
-    proc.wait()
+    def discard(self) -> None:
+        """Kill the process group unless the child has exited, close the pipes, reap; repeatable."""
+        proc = self._proc
+        if proc is None:
+            return
+        # The child leads its own group, so whatever a wrapper script started
+        # dies with it; killed before its stdin closes, none of them sees EOF
+        # and runs an empty batch.
+        if proc.poll() is None:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            pipe.close()
+        proc.wait()

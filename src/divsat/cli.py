@@ -61,6 +61,17 @@ _FRACTION = _checked(float, _fraction)
 _TIMEOUT = _checked(float, _seconds)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of help or version text to stdout
+    raises, as a report's does, for ``main`` to report; argparse would drop it."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
@@ -70,7 +81,7 @@ def _common_parser() -> argparse.ArgumentParser:
     common.add_argument("--timeout", type=_TIMEOUT, default=300.0,
                         help="seconds allowed per external command (default 300)")
     common.add_argument("-v", "--verbose", action="count", default=0,
-                        help="log progress to stderr; repeat for debug detail")
+                        help="log progress to stderr: one line per saturation iteration")
     return common
 
 
@@ -84,7 +95,7 @@ def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common_parser()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="divsat",
         description="Diversity metrics, saturation detection, and filter "
                     "evaluation for embedding-vector pipelines.",

@@ -12,13 +12,13 @@ or at the iteration cap.
 
 from __future__ import annotations
 
-import contextlib
 import enum
+import functools
 import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, ContextManager, Iterator, Mapping, Protocol, Sequence, Union
+from typing import Callable, Mapping, Protocol, Sequence, Union
 
 from . import _count, _fraction, _integer, _positive_int
 from .embedset import EmbeddingSet, _merge, _parse_lines
@@ -31,7 +31,7 @@ from .errors import (
     ProviderError,
 )
 from .kernel import KernelConfig, MmdEstimate, mmd_calculator
-from ._proc import External, json_objects, split_lines, write_lines
+from ._proc import External, _Child, json_objects, split_lines, write_lines
 from .rng import as_uint64
 
 log = logging.getLogger(__name__)
@@ -301,50 +301,48 @@ class _Embeds:
     """The embed call for each batch of a run, handed out in batch order.
 
     An in-process embedder's ``embed`` serves every batch. An external
-    embedder gets one child per batch, launched a batch ahead: ``next`` takes
-    the child the call before it launched (or launches one), then, if
-    ``ahead`` says another batch may follow, launches that batch's child
-    before this batch's provider call, so its start-up overlaps the whole
-    iteration. At most two children are alive at once: this batch's and the
-    spare. ``close`` kills the spare unread with its process group, and
-    reaps it.
+    embedder gets one child per batch, launched a batch ahead: ``next``
+    discards the previous batch's child, takes the spare the call before it
+    launched (or launches one), then, if ``ahead`` says another batch may
+    follow, launches that batch's child before this batch's provider call,
+    so its start-up overlaps the whole iteration. At most two children are
+    alive at once: this batch's and the spare. ``close`` discards both; the
+    spare is killed unread with its process group, and reaped.
     """
 
     def __init__(self, embedder: Embedder):
         self._embedder = embedder
-        self._spare = contextlib.ExitStack()
-        self._spare_embed: _EmbedCall | None = None
+        self._children: list[_Child] = []  # this batch's, then the spare
 
     def close(self) -> None:
-        self._spare.close()
+        for child in self._children:
+            child.discard()
 
-    @contextlib.contextmanager
-    def next(self, ahead: bool) -> Iterator[_EmbedCall]:
+    def next(self, ahead: bool) -> _EmbedCall:
         if not isinstance(self._embedder, _ExternalEmbedder):
-            yield self._embedder.embed
-            return
-        embed, self._spare_embed = self._spare_embed, None
-        with self._spare.pop_all() as current:
-            embed = embed or current.enter_context(self._embedder.started())
-            if ahead:
-                self._spare_embed = self._spare.enter_context(self._embedder.started())
-            yield embed
+            return self._embedder.embed
+        if self._children:
+            self._children.pop(0).discard()
+        if not self._children:
+            self._children.append(self._embedder._launch())
+        if ahead:
+            self._children.append(self._embedder._launch())
+        return functools.partial(_embed, self._children[0].finish)
 
 
-def _batch(provider: BatchProvider, launched: ContextManager[_EmbedCall], count: int,
+def _batch(provider: BatchProvider, embed: _EmbedCall, count: int,
            context: Mapping[str, str] | None, stage: str) -> tuple[EmbeddingSet | None, bool]:
-    # Up to ``count`` new items, embedded by the call ``launched`` yields (None
-    # if none came), and whether the provider is exhausted, which a batch
-    # shorter than ``count`` means. ``stage`` ends the provider's failure message.
-    with launched as embed:
-        texts = _call(lambda: list(provider.next_batch(count, context)),
-                      ProviderError, f"provider failed {stage}")
-        if not texts:
-            return None, True
-        if len(texts) > count:
-            raise ProviderError(f"provider returned {len(texts)} items {stage} "
-                                f"but only {count} were requested")
-        batch = _call(lambda: embed(texts), EmbedderError, "embedder failed")
+    # Up to ``count`` new items, embedded by ``embed`` (None if none came), and
+    # whether the provider is exhausted, which a batch shorter than ``count``
+    # means. ``stage`` ends the provider's failure message.
+    texts = _call(lambda: list(provider.next_batch(count, context)),
+                  ProviderError, f"provider failed {stage}")
+    if not texts:
+        return None, True
+    if len(texts) > count:
+        raise ProviderError(f"provider returned {len(texts)} items {stage} "
+                            f"but only {count} were requested")
+    batch = _call(lambda: embed(texts), EmbedderError, "embedder failed")
     if batch.size != len(texts):
         raise EmbedderError(f"embedder returned {batch.size} records for {len(texts)} items")
     return batch, batch.size < count
@@ -385,34 +383,24 @@ class _ExternalEmbedder(External):
     failure = EmbedderError
 
     def embed(self, items: Sequence[str]) -> EmbeddingSet:
-        with self.started() as embed:
-            return embed(items)
-
-    @contextlib.contextmanager
-    def started(self) -> Iterator[_EmbedCall]:
-        """Launch the command now; yield ``embed`` for the one batch it will take.
-
-        A launch failure is raised by that call; see ``External._started``.
-        """
-        with self._started() as finish:
-            yield lambda items: self._records(finish(_embedder_input(items)), len(items))
-
-    @staticmethod
-    def _records(stdout: str, count: int) -> EmbeddingSet:
-        try:
-            batch = _parse_lines(split_lines(stdout), source="embedder output",
-                                 where="embedder line")
-        except (DimensionMismatch, DuplicateId):
-            raise
-        except DivsatError as exc:
-            raise ProtocolError(str(exc)) from None
-        if batch.size != count:
-            raise ProtocolError(f"embedder returned {batch.size} records for {count} items")
-        return batch
+        return _embed(lambda text: self._run(input_text=text), items)
 
 
-def _embedder_input(items: Sequence[str]) -> str:
-    return "\n".join(json.dumps({"id": i, "text": text}) for i, text in enumerate(items)) + "\n"
+def _embed(finish: Callable[[str], str], items: Sequence[str]) -> EmbeddingSet:
+    # One batch through an embedder child: ``finish`` writes the input lines
+    # and returns the child's stdout, which must hold one record per item.
+    stdout = finish("\n".join(json.dumps({"id": i, "text": text})
+                              for i, text in enumerate(items)) + "\n")
+    try:
+        batch = _parse_lines(split_lines(stdout), source="embedder output",
+                             where="embedder line")
+    except (DimensionMismatch, DuplicateId):
+        raise
+    except DivsatError as exc:
+        raise ProtocolError(str(exc)) from None
+    if batch.size != len(items):
+        raise ProtocolError(f"embedder returned {batch.size} records for {len(items)} items")
+    return batch
 
 
 def external_provider(

@@ -1093,14 +1093,15 @@ class TestSaturateCommand:
         embedder = stub_script(
             f"""\
             import json, pathlib, sys
+            # counted once the batch has arrived: children start a batch
+            # ahead, but only one at a time is fed
+            rows = [json.loads(line) for line in sys.stdin if line.strip()]
             state = pathlib.Path({str(calls)!r})
             n = int(state.read_text()) + 1 if state.exists() else 1
             state.write_text(str(n))
             k = 3 if n == 3 else 2
-            for line in sys.stdin:
-                if line.strip():
-                    obj = json.loads(line)
-                    print(json.dumps({{"id": str(obj["id"]), "vector": [obj["id"] / 3.0] * k}}))
+            for obj in rows:
+                print(json.dumps({{"id": str(obj["id"]), "vector": [obj["id"] / 3.0] * k}}))
             """
         )
         ids = [f"x{i}" for i in range(20)]

@@ -129,12 +129,13 @@ class TestBrokenPipe:
         assert err == BROKEN_PIPE
 
     # Buffered, the output waits in the buffer until the final flush, which
-    # fails. Unbuffered, the provider's write fails, and argparse ignores a
-    # failed write of the version.
+    # fails. Unbuffered, the write itself fails, argparse's included.
     @pytest.mark.parametrize("args, buffered, unbuffered", [
         ([*PROVIDER, "--count", "3"], 1, 1),
-        (["--version"], 1, 0),
-    ], ids=["provider", "version"])
+        (["--version"], 1, 1),
+        (["--help"], 1, 1),
+        (["filter", "--help"], 1, 1),
+    ], ids=["provider", "version", "help", "filter-help"])
     def test_small_output_into_a_closed_pipe(self, stdio, args, buffered, unbuffered):
         # the pipe's read end is closed before the child starts
         read_end, write_end = os.pipe()

@@ -725,6 +725,11 @@ def wait_for_launches(launched, count, seconds=30.0):
     return [int(pid) for pid in os.listdir(launched)]
 
 
+# EARLY_EMBEDDER, except that past its first FAIL_PAST batches it hangs
+HANGING_EMBEDDER = EARLY_EMBEDDER.replace('sys.exit("model crashed")', "time.sleep(60)").replace(
+    "import json, os, sys", "import json, os, sys, time")
+
+
 class InterruptedAt:
     """Passes calls on to ``provider``; call number ``call`` raises KeyboardInterrupt."""
 
@@ -939,6 +944,27 @@ class TestEarlyLaunch:
             SaturationConfig(seed=0, max_iterations=1),
         )
         assert (final.size, trace.iterations) == (3, 1)
+
+    def test_embedder_timeout_reaps_both_children_and_keeps_the_steps(self, stub_script, files):
+        # the third batch's child (iteration 2) hangs past its timeout while the spare runs
+        provider, _ = self.commands(stub_script, files)
+        names = {name: str(path) for name, path in files.items()}
+        embedder = stub_script(HANGING_EMBEDDER.format(fail_past=2, **names))
+        with pytest.raises(EmbedderError, match=r"timed out after 2\.0s") as ei:
+            run_saturation(4, external_provider(provider), external_embedder(embedder, timeout=2.0),
+                           SaturationConfig(seed=0, max_iterations=50))
+        assert len(ei.value.trace_steps) == 1
+        assert ei.value.partial_set.size == 4 + 1
+        alive = self.seen(files)[-1]
+        assert len(alive) == 2
+        fed = self.fed(files)
+        assert len(fed) == 3
+        # the hanging child was fed its batch, the spare never was; neither outlived the run
+        assert fed[-1] in alive
+        assert len(alive - set(fed)) == 1
+        for pid in alive:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestConfigValidation:
