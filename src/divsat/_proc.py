@@ -86,8 +86,9 @@ class External:
     A child's lifecycle is launch, feed, discard. ``_launch`` starts the
     command in its own session with three pipes, before its input need
     exist; the child's ``finish`` writes the whole input, waits for the exit
-    and returns the stdout; its ``discard`` kills the process group of a
-    child still running (one left unfed has read nothing), closes the pipes
+    and returns the stdout; its ``discard`` kills the whole process group of
+    a command that did not finish (one left unfed has read nothing), with any
+    background processes it left holding its pipes, then closes the pipes
     and reaps it. ``_run`` is the three in a row.
 
     Subclasses name their role's error as ``failure``. A non-zero exit
@@ -165,14 +166,16 @@ class _Child:
             raise ProtocolError(f"{name!r} wrote output that is not UTF-8: {exc}") from None
 
     def discard(self) -> None:
-        """Kill the process group unless the child has exited, close the pipes, reap; repeatable."""
+        """Kill the group of a child ``finish`` did not reap, close the pipes, reap; repeatable."""
         proc = self._proc
         if proc is None:
             return
         # The child leads its own group, so whatever a wrapper script started
-        # dies with it; killed before its stdin closes, none of them sees EOF
-        # and runs an empty batch.
-        if proc.poll() is None:
+        # dies with it, even after the wrapper exited, when what it left holds
+        # stdout open into a timeout. Killed before its stdin closes, none of
+        # them sees EOF and runs an empty batch. Unreaped, the child still
+        # holds its group id, so the id cannot have been reused.
+        if proc.returncode is None:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
         for pipe in (proc.stdin, proc.stdout, proc.stderr):

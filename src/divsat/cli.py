@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--motion", required=True, help="JSON array (or array of arrays) of numbers")
     p.add_argument("--f1", required=True, help="JSON array (or array of arrays) of numbers")
     p.add_argument("--fisher-z", action="store_true",
-                   help="aggregate nested input with Fisher-z averaging instead of the raw mean")
+                   help="nested input only: aggregate with Fisher-z averaging, not the raw mean")
     p.set_defaults(handler=cmd_correlate)
 
     p = sub.add_parser("impact", parents=[common],
@@ -333,8 +333,9 @@ def cmd_saturate(args: argparse.Namespace) -> dict:
     )
     provider = _external(external_provider, args.provider, "--provider", args.timeout)
     embedder = _external(external_embedder, args.embedder, "--embedder", args.timeout)
-    if args.trace and os.path.realpath(args.trace) == os.path.realpath(args.out):
-        raise UsageError(f"--out and --trace name the same file {args.out!r}")
+    for flag, other in (("--out", args.out), ("--init", args.init)):
+        if args.trace and other and os.path.realpath(args.trace) == os.path.realpath(other):
+            raise UsageError(f"{flag} and --trace name the same file {other!r}")
     initial = load_set(args.init) if args.init is not None else args.init_count
     _check_writable(args.out, "--out")
     if args.trace:
@@ -543,6 +544,8 @@ def cmd_correlate(args: argparse.Namespace) -> dict:
             "all three inputs must have the same shape (all flat or all nested)"
         )
     if shapes["text"] == "flat":
+        if args.fisher_z:
+            raise UsageError("--fisher-z averages nested input only, and these series are flat")
         return asdict(correlation_report(series["text"], series["motion"], series["f1"]))
     lengths = {name: len(v) for name, v in series.items()}
     if len(set(lengths.values())) != 1:

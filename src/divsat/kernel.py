@@ -31,7 +31,6 @@ than one copy of the distances.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,31 +96,32 @@ def gaussian_kernel(x, y, bandwidth: float) -> float:
 class _Pairs:
     """The distinct pairs of two sets, the smaller S and the larger L.
 
-    The operands are put in one canonical order, by size and then by their
-    bytes, so swapping them cannot change any reduction. The distinct points
-    are L alone when S is a row prefix of L (the saturation case: the current
-    set against itself plus a batch), else S stacked on L; either way S is
-    rows [0, n_s). Rows are cut into blocks of at most _TILE, none straddling
+    The constructor decides everything once. It orders the operands by size,
+    and by their bytes only on a tie, so swapping them cannot change any
+    reduction. The distinct points are L alone when S is a row prefix of L
+    (the saturation case: the current set against itself plus a batch), else
+    S stacked on L; either way S is rows [0, n_s) of the one C-ordered
+    ``coords``. Rows are cut into blocks of at most _TILE, none straddling
     n_s, and each block pair p <= q is one plain rows x cols tile, so a
-    diagonal tile holds its block's whole square.
+    diagonal tile holds its block's whole square. With ``store`` the tiles
+    are computed and kept here for :meth:`median` and :meth:`sums`; without,
+    :meth:`sums` streams them.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        small, large = sorted((a, b), key=lambda v: (len(v), v.tobytes()))
-        n_s = small.shape[0]
-        self.prefix = np.array_equal(large[:n_s], small)
-        # one contiguous row per coordinate
-        if self.prefix:
-            self.coords = np.ascontiguousarray(large.T)
-        else:
-            self.coords = np.concatenate([small.T, large.T], axis=1)
-        self.n_s = n_s
+    def __init__(self, a: np.ndarray, b: np.ndarray, store: bool):
+        if len(a) > len(b) or (len(a) == len(b) and a.tobytes() > b.tobytes()):
+            a, b = b, a
+        self.n_s = n_s = len(a)
+        self.prefix = np.array_equal(b[:n_s], a)
         self.l_start = 0 if self.prefix else n_s  # L is rows [l_start, D)
-        d = self.coords.shape[1]
+        d = self.l_start + len(b)
+        # one C-ordered layout, written in place: a contiguous row of all D points per coordinate
+        self.coords = np.empty((a.shape[1], d))
+        np.concatenate([b.T] if self.prefix else [a.T, b.T], axis=1, out=self.coords)
         blocks = [(i, min(i + _TILE, n_s)) for i in range(0, n_s, _TILE)]
         blocks += [(i, min(i + _TILE, d)) for i in range(n_s, d, _TILE)]
         self.tiles = [(rows, cols) for p, rows in enumerate(blocks) for cols in blocks[p:]]
-        self._stored: list | None = None
+        self.stored = [self._sqdist(*tile) for tile in self.tiles] if store else None
 
     def _sqdist(self, rows, cols) -> np.ndarray:
         """Squared distances of one tile, summed one coordinate at a time."""
@@ -144,7 +144,7 @@ class _Pairs:
         S-S, S-rest and rest-rest.
         """
         upper = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
-        for (rows, cols), d2 in zip(self.tiles, self._stored):
+        for (rows, cols), d2 in zip(self.tiles, self.stored):
             if rows == cols:
                 d2 = d2[upper[:len(d2), :len(d2)]]
             yield d2.ravel(), (rows[0] >= self.n_s) + (cols[0] >= self.n_s)
@@ -152,14 +152,13 @@ class _Pairs:
     def median(self) -> float:
         """np.median of the positive pair distances of vstack(S, L), bit for bit.
 
-        The tiles are stored and reused by :meth:`sums`. In the prefix case
-        each S-S pair occurs 4 times in that pooled stack and each S-rest pair
-        twice, so every point of S counts twice. Positive floats sort as their
-        bit patterns do, so a histogram of each distance's top 16 bits finds
-        the buckets of the two middle ranks, and only the values in those
-        buckets are collected and searched.
+        It reads the stored tiles. In the prefix case each S-S pair occurs 4
+        times in that pooled stack and each S-rest pair twice, so every point
+        of S counts twice. Positive floats sort as their bit patterns do, so a
+        histogram of each distance's top 16 bits finds the buckets of the two
+        middle ranks, and only the values in those buckets are collected and
+        searched.
         """
-        self._stored = [self._sqdist(*tile) for tile in self.tiles]
         hists = np.zeros((3, _INF_BUCKET + 1), dtype=np.int64)  # one per group
         for d2, group in self._counted():
             if d2.size:
@@ -181,8 +180,8 @@ class _Pairs:
             raise NonFiniteValue("the median pair distance overflows to infinity")
         # the smallest positive value of bucket ``first`` and the largest of
         # ``last``; no bucket between them holds a value
-        bounds = np.array([max(first << _BUCKET_SHIFT, 1), ((last + 1) << _BUCKET_SHIFT) - 1])
-        lo, hi = bounds.view(np.float64)
+        bits = (max(first << _BUCKET_SHIFT, 1), ((last + 1) << _BUCKET_SHIFT) - 1)
+        lo, hi = np.array(bits, dtype=np.int64).view(np.float64)
         runs = [np.empty(size) for size in hists[:, first:last + 1].sum(axis=1)]
         filled = [0, 0, 0]
         for d2, group in self._counted():
@@ -192,8 +191,8 @@ class _Pairs:
         for run in runs:
             run.sort()
         offset = int(below[first - 1]) if first else 0
-        middle = np.sqrt([_weighted_rank(runs, weights, rank - offset) for rank in ranks])
-        return float(np.mean(middle))
+        middle = [_weighted_rank(runs, weights, rank - offset, bits) for rank in ranks]
+        return float(np.mean(np.sqrt(np.array(middle, dtype=np.int64).view(np.float64))))
 
     def sums(self, bandwidth: float, counts: np.ndarray):
         """Kernel sums for each row c of ``counts`` (one weight per S point).
@@ -218,9 +217,7 @@ class _Pairs:
             for m in range(first, last):
                 acc[m, rows[0]:rows[1]] += (kern * weights[m, cols[0]:cols[1]]).sum(axis=1)
 
-        stored = self._stored
-        if stored is None:
-            stored = (self._sqdist(*tile) for tile in self.tiles)
+        stored = self.stored or (self._sqdist(*tile) for tile in self.tiles)
         for (rows, cols), d2 in zip(self.tiles, stored):
             kern = np.exp(-d2 * inv)
             if rows == cols:
@@ -235,23 +232,20 @@ class _Pairs:
         return t, q, x
 
 
-def _weighted_rank(runs: list, weights: tuple, rank: int) -> float:
-    """The value of 0-based ``rank`` in a multiset given as sorted runs.
+def _weighted_rank(runs: list, weights: tuple, rank: int, bits: tuple) -> int:
+    """The bit pattern of the value of 0-based ``rank`` in a multiset of sorted runs.
 
-    Run g stands for each of its values ``weights[g]`` times. The value is
-    found by bisection: the smallest one with more than ``rank`` items at or
-    below it.
+    Run g stands for each of its values ``weights[g]`` times, and every value
+    is a positive float whose bit pattern lies in ``bits`` (inclusive). Such
+    floats sort as their bit patterns do, so one bisection over the patterns
+    finds the value: the smallest with more than ``rank`` items at or below it.
     """
-    def covers(v) -> bool:
+    def covers(pattern: int) -> bool:
+        v = np.int64(pattern).view(np.float64)
         return sum(w * int(np.searchsorted(run, v, "right"))
                    for w, run in zip(weights, runs)) > rank
 
-    best = math.inf
-    for run in runs:
-        i = bisect.bisect_left(range(run.size), True, key=lambda j: covers(run[j]))
-        if i < run.size:
-            best = min(best, float(run[i]))
-    return best
+    return bits[0] + bisect.bisect_left(range(bits[0], bits[1] + 1), True, key=covers)
 
 
 def median_heuristic(x_set: EmbeddingSet, y_set: EmbeddingSet) -> float:
@@ -262,7 +256,7 @@ def median_heuristic(x_set: EmbeddingSet, y_set: EmbeddingSet) -> float:
     overflows to infinity raises NonFiniteValue.
     """
     _same_dimension(x_set, y_set)
-    return _Pairs(x_set.vectors, y_set.vectors).median()
+    return _Pairs(x_set.vectors, y_set.vectors, True).median()
 
 
 def resolve_bandwidth(cfg: KernelConfig, x_set: EmbeddingSet, y_set: EmbeddingSet) -> float:
@@ -348,11 +342,9 @@ def mmd_calculator(
             np.bincount(resample(seed, r, n_s, target), minlength=n_s)
             for r in range(repetitions)
         ], dtype=np.float64)
-    pairs = _Pairs(a_set.vectors, b_set.vectors)
-    if cfg.bandwidth == MEDIAN_HEURISTIC:
-        bandwidth = pairs.median()
-    else:
-        bandwidth = float(cfg.bandwidth)
+    store = cfg.bandwidth == MEDIAN_HEURISTIC  # the median reads the stored tiles
+    pairs = _Pairs(a_set.vectors, b_set.vectors, store)
+    bandwidth = pairs.median() if store else float(cfg.bandwidth)
     t, q, x = pairs.sums(bandwidth, counts)
     raw = (q + t - 2.0 * x) / (target * target)
     scores = np.where((NEGATIVE_CLAMP <= raw) & (raw < 0.0), 0.0, raw)

@@ -1,10 +1,14 @@
 """Shared fixtures: path setup, CLI runner, stub subprocess scripts."""
 
+import contextlib
 import json
 import os
+import shlex
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -58,6 +62,53 @@ def stub_script(tmp_path):
         return [sys.executable, str(path)]
 
     return _make
+
+
+class _Orphans:
+    """Background processes that a test's commands leave holding their pipes."""
+
+    def __init__(self, directory):
+        self.dir = directory
+
+    def command(self, tail):
+        """``sh -c``: start ``sleep 43`` in the background, record its pid, then run ``tail``."""
+        return ["sh", "-c", f"sleep 43 & echo $! > {shlex.quote(str(self.dir))}/$$; {tail}"]
+
+    def pids(self):
+        return [int(path.read_text()) for path in self.dir.iterdir()]
+
+    @staticmethod
+    def ended(pid):
+        # gone, or a zombie not yet reaped by whatever adopted it
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+        except FileNotFoundError:
+            return True
+
+    def assert_ended(self, seconds=5.0):
+        pids = self.pids()
+        assert pids, "no command recorded a background process"
+        deadline = time.monotonic() + seconds
+        while running := [pid for pid in pids if not self.ended(pid)]:
+            assert time.monotonic() < deadline, f"still running: {running}"
+            time.sleep(0.05)
+
+
+@pytest.fixture
+def orphans(tmp_path):
+    """Record each command's background ``sleep`` (see ``_Orphans.command``); kill any left at the end."""
+    if not os.path.isdir("/proc"):
+        pytest.skip("needs /proc to tell a zombie from a running process")
+    (tmp_path / "orphans").mkdir()
+    tracked = _Orphans(tmp_path / "orphans")
+    try:
+        yield tracked
+    finally:
+        for pid in tracked.pids():
+            if not tracked.ended(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
 
 @pytest.fixture

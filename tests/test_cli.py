@@ -713,6 +713,23 @@ class TestSaturateCommand:
         found = re.findall(r"^divsat\.saturation: iteration (\d+): n=\d+ ", err, re.MULTILINE)
         assert found == ["1", "2"]
 
+    def test_trace_naming_the_init_file_is_usage_error(self, run_cli, tmp_path):
+        state, out_path, trace_path, args = self.saturate_args(tmp_path, "init-trace")
+        init = tmp_path / "init.jsonl"
+        init.write_text("".join(f'{{"id": "i{i}", "vector": [{i}, 0, 1, 2]}}\n' for i in range(8)))
+        before = init.read_bytes()
+        argv = [str(a) for a in args]
+        at = argv.index("--init-count")
+        argv[at:at + 2] = ["--init", str(init)]
+        argv[argv.index(str(trace_path))] = str(init)
+        code, stdout, err = run_cli(*argv, timeout=300)
+        assert code == 2
+        assert stdout == ""
+        assert "--init and --trace name the same file" in err
+        assert init.read_bytes() == before
+        assert not state.exists()
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("kind", ["directory", "missing-directory"])
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     def test_unwritable_output_fails_before_the_provider_runs(self, run_cli, tmp_path, flag, kind):
@@ -1400,6 +1417,15 @@ class TestCorrelateCommand:
         assert result["text_vs_f1"]["r"] == pytest.approx(-1.0, abs=1e-12)
         assert result["text_vs_motion"]["n"] == 5
         assert result["text_vs_motion"]["p"] == 0.0
+
+    def test_fisher_z_on_flat_series_is_usage_error(self, run_cli, tmp_path):
+        paths = [self.write_series(tmp_path, f"{name}.json", [1.0, 2.0, 4.0, 3.0])
+                 for name in ("text", "motion", "f1")]
+        code, stdout, err = run_cli("correlate", "--text", paths[0], "--motion", paths[1],
+                                    "--f1", paths[2], "--fisher-z")
+        assert code == 2
+        assert stdout == ""
+        assert "--fisher-z averages nested input only" in err
 
     def test_nested_with_fisher_z(self, run_cli, tmp_path):
         rng = np.random.default_rng(8)

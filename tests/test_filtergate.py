@@ -305,6 +305,13 @@ class TestExternalJudge:
         got = run_filter("walking", captions(4), external_judge(argv))
         assert [v.keep for v in got] == [True, False, True, False]
 
+    def test_timeout_kills_what_the_command_left_running(self, orphans):
+        # the wrapper exits at once, but its background sleep holds stdout open
+        judge = external_judge(orphans.command("echo 1. yes"), timeout=1.0)
+        with pytest.raises(JudgeError, match=r"timed out after 1\.0s"):
+            run_filter("walking", captions(1), judge)
+        orphans.assert_ended()
+
 
 class TestIo:
     def test_captions_round_trip(self, write_jsonl):

@@ -69,9 +69,6 @@ CASES = {
                      "--truth", "../inputs/truth.jsonl"], None),
     "correlate-flat": (["correlate", "--text", "../inputs/text.json", "--motion",
                         "../inputs/motion.json", "--f1", "../inputs/f1.json"], None),
-    "correlate-flat-fisher-z": (["correlate", "--text", "../inputs/text.json", "--motion",
-                                 "../inputs/motion.json", "--f1", "../inputs/f1.json",
-                                 "--fisher-z"], None),
     "correlate-nested": (["correlate", "--text", "../inputs/text-n.json", "--motion",
                           "../inputs/motion-n.json", "--f1", "../inputs/f1-n.json"], None),
     "correlate-nested-fisher-z": (["correlate", "--text", "../inputs/text-n.json", "--motion",

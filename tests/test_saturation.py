@@ -966,6 +966,19 @@ class TestEarlyLaunch:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    def test_embedder_timeout_kills_what_its_children_left_running(self, orphans):
+        # each child's wrapper exits once it has read its batch, but its
+        # background sleep holds stdout open; the spare is never fed
+        class Texts:
+            def next_batch(self, count, context=None):
+                return [f"t{i}" for i in range(count)]
+
+        embedder = external_embedder(orphans.command("cat > /dev/null"), timeout=1.0)
+        with pytest.raises(EmbedderError, match=r"timed out after 1\.0s"):
+            run_saturation(4, Texts(), embedder, SaturationConfig(seed=0, max_iterations=5))
+        assert len(orphans.pids()) == 2
+        orphans.assert_ended()
+
 
 class TestConfigValidation:
     def test_perc_bounds(self):
