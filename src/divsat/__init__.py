@@ -57,6 +57,12 @@ _count = _rule(numbers.Integral, "an integer", lambda v: v >= 0, ">= 0")
 _positive_int = _rule(numbers.Integral, "an integer", lambda v: v >= 1, ">= 1")
 _fraction = _rule(numbers.Real, "a number", lambda v: 0 < v <= 1, "in (0, 1]")
 _positive = _rule(numbers.Real, "a finite positive number", lambda v: 0 < v and _finite(v))
+# A Gaussian kernel bandwidth b. The kernel scales squared distances by
+# 1 / (2 b^2), a finite positive float for b in about [5.28e-155, 9.48e153];
+# compared as a Python float, since numpy would cast the bounds to float32.
+_bandwidth = _rule(numbers.Real, "a finite positive number",
+                   lambda v: _finite(v) and 5.3e-155 <= float(v) <= 9.4e153,
+                   "in [5.3e-155, 9.4e153]")
 _seconds = _rule(numbers.Real, f"seconds in (0, {_MAX_TIMEOUT}]", lambda v: 0 < v <= _MAX_TIMEOUT)
 _correlation = _rule(numbers.Real, "a number", lambda v: -1 <= v <= 1, "in [-1, 1]")
 _float_integer = _rule(numbers.Integral, "an integer", _finite, "within float range")

@@ -17,7 +17,9 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from . import __version__, _count, _fraction, _positive, _positive_int, _seconds, _vector
+from . import (
+    __version__, _bandwidth, _count, _fraction, _positive, _positive_int, _seconds, _vector,
+)
 from .errors import (
     DivsatError,
     IoError,
@@ -57,6 +59,7 @@ def _checked(cast, rule):
 _POSITIVE_INT = _checked(int, _positive_int)
 _COUNT = _checked(int, _count)
 _POSITIVE = _checked(float, _positive)
+_BANDWIDTH = _checked(float, _bandwidth)
 _FRACTION = _checked(float, _fraction)
 _TIMEOUT = _checked(float, _seconds)
 
@@ -80,17 +83,14 @@ def _common_parser() -> argparse.ArgumentParser:
                         help="report format (default json)")
     common.add_argument("--timeout", type=_TIMEOUT, default=300.0,
                         help="seconds allowed per external command (default 300)")
-    common.add_argument("-v", "--verbose", action="count", default=0,
+    common.add_argument("-v", "--verbose", action="store_true",
                         help="log progress to stderr: one line per saturation iteration")
     return common
 
 
 def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--bandwidth", type=_POSITIVE, default=None,
-                       help="explicit Gaussian kernel bandwidth")
-    group.add_argument("--median", action="store_true",
-                       help="median-heuristic bandwidth (the default)")
+    parser.add_argument("--bandwidth", type=_BANDWIDTH, default=None,
+                        help="Gaussian kernel bandwidth; left out, the median heuristic picks it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diversity", parents=[common],
                        help="absolute diversity metrics of one embedding set")
     p.add_argument("set", help="embedding JSONL file")
-    p.add_argument("--json", action="store_true",
-                   help="force JSON output (the default format)")
     p.set_defaults(handler=cmd_diversity)
 
     p = sub.add_parser("mmd", parents=[common],
@@ -306,10 +304,11 @@ def _check_writable(path: str, flag: str) -> None:
     folder = os.path.dirname(path) or "."
     if os.path.exists(path):
         ok = not os.path.isdir(path) and os.access(path, os.W_OK)
-    else:
-        ok = os.path.isdir(folder) and os.access(folder, os.W_OK)
+    else:  # "" does not exist, and names no file in "."
+        ok = path != "" and os.path.isdir(folder) and os.access(folder, os.W_OK)
     if not ok:
-        raise IoError(f"{flag}: cannot write {path!r}: a directory, or not in a writable one")
+        raise IoError(f"{flag}: cannot write {path!r}: "
+                      "empty, a directory, or not in a writable one")
 
 
 def cmd_saturate(args: argparse.Namespace) -> dict:
@@ -334,11 +333,12 @@ def cmd_saturate(args: argparse.Namespace) -> dict:
     provider = _external(external_provider, args.provider, "--provider", args.timeout)
     embedder = _external(external_embedder, args.embedder, "--embedder", args.timeout)
     for flag, other in (("--out", args.out), ("--init", args.init)):
-        if args.trace and other and os.path.realpath(args.trace) == os.path.realpath(other):
+        if (args.trace is not None and other
+                and os.path.realpath(args.trace) == os.path.realpath(other)):
             raise UsageError(f"{flag} and --trace name the same file {other!r}")
     initial = load_set(args.init) if args.init is not None else args.init_count
     _check_writable(args.out, "--out")
-    if args.trace:
+    if args.trace is not None:
         _check_writable(args.trace, "--trace")
     context = {"activity": args.activity} if args.activity else None
     try:
@@ -352,7 +352,7 @@ def cmd_saturate(args: argparse.Namespace) -> dict:
             raise
         failure, final, steps = exc, exc.partial_set, exc.trace_steps
     write_set(final, args.out)
-    if args.trace:
+    if args.trace is not None:
         _write_steps(steps, args.trace)
     if failure is not None:
         raise failure
@@ -579,7 +579,7 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else key, value[key], rows)
     else:
-        rows.append((prefix, json.dumps(value)))
+        rows.append((prefix, json.dumps(value, allow_nan=False)))
 
 
 def emit_report(command: str, config: dict, result: dict, duration_s: float,
@@ -612,16 +612,19 @@ def dispatch(argv: list[str] | None = None) -> int:
         if args.verbose:
             import logging
 
-            logging.basicConfig(
-                stream=sys.stderr,
-                level=logging.DEBUG if args.verbose > 1 else logging.INFO,
-                format="%(name)s: %(message)s",
-            )
+            logging.basicConfig(stream=sys.stderr, level=logging.INFO,
+                                format="%(name)s: %(message)s")
         start = time.perf_counter()
         result = args.handler(args)
         duration = time.perf_counter() - start
+        if result is None:
+            return 0
+        command = args.command
+        if command == "filter":
+            command = f"filter {args.filter_command}"
+        config = {key: value for key, value in sorted(vars(args).items()) if not callable(value)}
         try:
-            json.dumps(result, allow_nan=False)
+            report = emit_report(command, config, result, duration, args.format)
         except ValueError:
             raise NonFiniteValue("the result holds NaN or an infinity") from None
     except UsageError as exc:
@@ -631,14 +634,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         error = {"error": {"code": exc.code, "message": str(exc)}}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 1
-    if result is None:
-        return 0
-    command = args.command
-    if command == "filter":
-        command = f"filter {args.filter_command}"
-    config = {key: value for key, value in sorted(vars(args).items()) if not callable(value)}
-    fmt = "json" if getattr(args, "json", False) else args.format
-    print(emit_report(command, config, result, duration, fmt))
+    print(report)
     return 0
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _integer, _positive, _positive_int
+from . import _bandwidth, _integer, _positive_int
 from .embedset import EmbeddingSet, _same_dimension
 from .errors import DimensionMismatch, InvalidRepetitions, NonFiniteValue, SizeMismatch
 from .rng import resample
@@ -63,7 +63,7 @@ class KernelConfig:
 
     def __post_init__(self) -> None:
         if not isinstance(self.bandwidth, str):
-            _positive("bandwidth", self.bandwidth)
+            _bandwidth("bandwidth", self.bandwidth)
         elif self.bandwidth != MEDIAN_HEURISTIC:
             raise ValueError(f"unknown bandwidth mode {self.bandwidth!r}")
 
@@ -85,7 +85,9 @@ def gaussian_kernel(x, y, bandwidth: float) -> float:
     yv = np.asarray(y, dtype=np.float64)
     if xv.shape != yv.shape:
         raise DimensionMismatch(f"points have shapes {xv.shape} and {yv.shape}")
-    _positive("bandwidth", bandwidth)
+    # a Python float, as mmd_calculator uses: 2 b^2 of a numpy float32 b
+    # stays float32, which overflows inside the bandwidth rule's range
+    bandwidth = float(_bandwidth("bandwidth", bandwidth))
     # summed in coordinate order, like every distance in this module
     d2 = 0.0
     for delta in (xv - yv).ravel().tolist():
@@ -288,7 +290,8 @@ def mmd(
     Raises:
         SizeMismatch: the sets differ in size (use :func:`mmd_calculator`).
         DimensionMismatch: the sets differ in dimension.
-        NonFiniteValue: the median-heuristic bandwidth overflows to infinity.
+        NonFiniteValue: the median-heuristic bandwidth overflows to infinity,
+            or is too small or too large for the kernel to scale distances by.
     """
     _same_dimension(x_set, y_set)
     if x_set.size != y_set.size:
@@ -323,8 +326,10 @@ def mmd_calculator(
     larger one (as in saturation) each of its points counts twice; this is
     the long-standing definition and is kept on purpose. The estimate is
     the same bit for bit whether the bandwidth is resolved here or passed
-    in explicitly. Repetition r is ``resample(seed, r, ...)``, so the estimate
-    is reproducible and the repetitions of one call are independent.
+    in explicitly; a median outside the bandwidth rule's range raises
+    NonFiniteValue, as one that overflows does. Repetition r is
+    ``resample(seed, r, ...)``, so the estimate is reproducible and the
+    repetitions of one call are independent.
     """
     _positive_int("repetitions", repetitions, InvalidRepetitions)
     _integer("seed", seed)
@@ -344,7 +349,10 @@ def mmd_calculator(
         ], dtype=np.float64)
     store = cfg.bandwidth == MEDIAN_HEURISTIC  # the median reads the stored tiles
     pairs = _Pairs(a_set.vectors, b_set.vectors, store)
-    bandwidth = pairs.median() if store else float(cfg.bandwidth)
+    if store:  # a median the kernel cannot scale fails as one that overflows does
+        bandwidth = _bandwidth("the median-heuristic bandwidth", pairs.median(), NonFiniteValue)
+    else:
+        bandwidth = float(cfg.bandwidth)
     t, q, x = pairs.sums(bandwidth, counts)
     raw = (q + t - 2.0 * x) / (target * target)
     scores = np.where((NEGATIVE_CLAMP <= raw) & (raw < 0.0), 0.0, raw)

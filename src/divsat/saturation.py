@@ -20,6 +20,8 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Protocol, Sequence, Union
 
+import numpy as np
+
 from . import _count, _fraction, _integer, _positive_int
 from .embedset import EmbeddingSet, _merge, _parse_lines
 from .errors import (
@@ -66,7 +68,8 @@ class SaturationConfig:
     consecutive in-window scores beyond the first required to stop. The
     package's argument rules hold ``perc`` to (0, 1], ``early_stop`` to an
     integer >= 0, ``mmd_repetitions`` and ``max_iterations`` to integers
-    >= 1 and ``seed`` to an integer; any other value raises ValueError.
+    >= 1 and ``seed`` to an integer; ``kernel`` must be a KernelConfig and
+    ``fixed_batch`` a bool. Any other value raises ValueError.
     """
 
     perc: float = 0.05
@@ -83,6 +86,10 @@ class SaturationConfig:
         _positive_int("mmd_repetitions", self.mmd_repetitions)
         _integer("seed", self.seed)
         _positive_int("max_iterations", self.max_iterations)
+        if not isinstance(self.kernel, KernelConfig):
+            raise ValueError(f"kernel must be a KernelConfig, got {self.kernel!r}")
+        if not isinstance(self.fixed_batch, (bool, np.bool_)):
+            raise ValueError(f"fixed_batch must be a bool, got {self.fixed_batch!r}")
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,8 @@ REJECTED = {
     # math.isfinite raises OverflowError for an integer beyond float range
     "GaussianSpec sigma=10**400": (lambda: GaussianSpec(k=2, sigma=10**400), "sigma"),
     "KernelConfig bandwidth=10**400": (lambda: KernelConfig(bandwidth=10**400), "bandwidth"),
+    # 2 b^2 underflows to 0, so the kernel's 1 / (2 b^2) divides by zero
+    "KernelConfig bandwidth=1e-200": (lambda: KernelConfig(bandwidth=1e-200), "bandwidth"),
     # a list is no vector entry
     "GaussianSpec nested mean": (lambda: GaussianSpec(k=2, mean=[[1, 2], [3, 4]]), "mean"),
     "DriftSpec nested drift": (lambda: DriftSpec(GaussianSpec(k=2), drift=[[1, 2], [3, 4]]),
@@ -67,6 +69,11 @@ REJECTED = {
     "next_batch count=1.5": (lambda: stationary_provider(GaussianSpec(k=2)).next_batch(1.5),
                              "count"),
     "gaussian_kernel bandwidth=True": (lambda: gaussian_kernel([0.0], [1.0], True), "bandwidth"),
+    "gaussian_kernel bandwidth=1e-200": (lambda: gaussian_kernel([0.0], [1.0], 1e-200),
+                                         "bandwidth"),
+    "SaturationConfig kernel=str": (lambda: SaturationConfig(kernel="median-heuristic"), "kernel"),
+    "SaturationConfig fixed_batch=str": (lambda: SaturationConfig(fixed_batch="no"),
+                                         "fixed_batch"),
     "mmd_calculator seed=1.5": (lambda: mmd_calculator(X, Y, seed=1.5), "seed"),
     "mmd_calculator seed=True": (lambda: mmd_calculator(X, Y, seed=True), "seed"),
     "parse_filter_response expected=True": (lambda: parse_filter_response("1. yes", True),
@@ -122,6 +129,11 @@ ACCEPTED = {
     "KernelConfig bandwidth=float32": (
         lambda: mmd_calculator(X, X, KernelConfig(bandwidth=np.float32(2.0))),
         lambda: mmd_calculator(X, X, KernelConfig(bandwidth=2.0)),
+    ),
+    # float32 arithmetic would overflow 2 b^2 and return NaN
+    "gaussian_kernel bandwidth=float32": (
+        lambda: gaussian_kernel([0.0], [1e21], np.float32(1e20)),
+        lambda: gaussian_kernel([0.0], [1e21], float(np.float32(1e20))),
     ),
     "mmd_calculator seed=int64": (
         lambda: mmd_calculator(X, Y, repetitions=np.int64(3), seed=np.int64(4)),

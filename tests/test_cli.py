@@ -143,7 +143,7 @@ SATURATE = ["saturate", "--init-count", "4", "--provider", "p", "--embedder", "e
     ([*SATURATE, "--early-stop", "-1"], "--early-stop: must be an integer >= 0, got '-1'"),
     ([*SATURATE, "--perc", "1.5"], "--perc: must be a number in (0, 1], got '1.5'"),
     (["mmd", "x", "y", "--bandwidth", "nan"],
-     "--bandwidth: must be a finite positive number, got 'nan'"),
+     "--bandwidth: must be a finite positive number in [5.3e-155, 9.4e153], got 'nan'"),
     (["diversity", "x", "--timeout", "0"], "--timeout: must be seconds in (0, 2147483], got '0'"),
 ])
 def test_flag_error_states_the_library_rule(capsys, argv, message):
@@ -183,14 +183,6 @@ class TestReportEnvelope:
         assert any(row.strip().startswith("std_metric") for row in lines[1:])
         with pytest.raises(ValueError):
             json.loads(out)
-
-    def test_json_flag_overrides_pretty_and_echoes_the_format(self, run_cli, write_jsonl):
-        path = write_jsonl("square.jsonl", SQUARE)
-        code, out, err = run_cli("diversity", path, "--format", "pretty", "--json")
-        assert code == 0
-        config = report_of(out)["config"]
-        assert config["format"] == "pretty"
-        assert config["json"] is True
 
 
 class TestSeedResolution:
@@ -329,12 +321,7 @@ class TestMmdCommand:
         code, out, err = run_cli("mmd", x, y, "--bandwidth", 2.5)
         assert report_of(out)["result"]["bandwidth_used"] == 2.5
 
-    def test_bandwidth_and_median_conflict(self, run_cli, write_jsonl):
-        x, y = self.write_pair(write_jsonl, 8, 8)
-        code, out, err = run_cli("mmd", x, y, "--bandwidth", 2.5, "--median")
-        assert code == 2
-
-    @pytest.mark.parametrize("bandwidth", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("bandwidth", ["-1", "0", "nan", "inf", "1e-200", "1e200"])
     def test_bad_bandwidth_is_usage_error(self, run_cli, write_jsonl, bandwidth):
         x, y = self.write_pair(write_jsonl, 8, 8)
         code, out, err = run_cli("mmd", x, y, "--bandwidth", bandwidth)
@@ -730,12 +717,13 @@ class TestSaturateCommand:
         assert not state.exists()
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("kind", ["directory", "missing-directory"])
+    @pytest.mark.parametrize("kind", ["directory", "missing-directory", "empty"])
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     def test_unwritable_output_fails_before_the_provider_runs(self, run_cli, tmp_path, flag, kind):
         state, out_path, trace_path, args = self.saturate_args(tmp_path, "unwritable")
         out_path.write_text("kept\n")
-        bad = tmp_path if kind == "directory" else tmp_path / "no-such-dir" / "x.jsonl"
+        bad = {"directory": tmp_path, "missing-directory": tmp_path / "no-such-dir" / "x.jsonl",
+               "empty": ""}[kind]
         replaced = out_path if flag == "--out" else trace_path
         code, stdout, err = run_cli(*[bad if a == replaced else a for a in args], timeout=300)
         assert code == 1
@@ -1233,7 +1221,7 @@ class TestFilterCommands:
         assert not marker.exists()
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind", ["directory", "missing-directory"])
+    @pytest.mark.parametrize("kind", ["directory", "missing-directory", "empty"])
     def test_unwritable_out_fails_before_the_judge_runs(self, run_cli, write_jsonl, stub_script,
                                                         tmp_path, kind):
         captions = self.write_captions(write_jsonl, n=2)
@@ -1247,7 +1235,8 @@ class TestFilterCommands:
             """)
         folder = tmp_path / "verdicts"
         folder.mkdir()
-        out = folder if kind == "directory" else tmp_path / "no-such-dir" / "v.jsonl"
+        out = {"directory": folder, "missing-directory": tmp_path / "no-such-dir" / "v.jsonl",
+               "empty": ""}[kind]
         code, stdout, err = run_cli(
             "filter", "run", "--activity", "walking", "--captions", captions,
             "--judge", quoted(*judge), "--out", out, timeout=300,

@@ -6,8 +6,10 @@ Each case runs ``python -m divsat`` (or a demo) in its own folder under
 ``result`` and ``version`` (not ``duration_s``, and not ``config``, which
 echoes the interpreter's path), or the raw stdout of a command that prints
 no report, plus the name and bytes of every file the case leaves in its
-folder. ``tests/golden.json`` holds the digests; a change that moves
-outputs on purpose rewrites it with::
+folder. A demo runs under ``python -W error``, so a warning (numpy's
+overflow or invalid-value ones among them) fails its case.
+``tests/golden.json`` holds the digests; a change that moves outputs on
+purpose rewrites it with::
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -150,7 +152,8 @@ def _case(tmp, name):
     args, stdin = CASES[name]
     folder = tmp / name
     folder.mkdir()
-    argv = [sys.executable, *args] if name.startswith("demo-") else [*DIVSAT, *args]
+    demo = name.startswith("demo-")
+    argv = [sys.executable, "-W", "error", *args] if demo else [*DIVSAT, *args]
     return _digest(_run(argv, folder, stdin), folder)
 
 

@@ -129,6 +129,18 @@ class TestMedianHeuristic:
         with pytest.raises(ValueError, match="finite positive number"):
             KernelConfig(bandwidth=True)
 
+    def test_bandwidth_rule_bounds(self):
+        # inside the bounds 1 / (2 b^2) is finite and positive, so repeated
+        # rows score 0 * 1 / (2 b^2) = 0 and not NaN; just outside, no config
+        rows = as_set([[0.0, 0.0], [0.0, 0.0], [1e-154, 0.0]])
+        other = as_set([[0.0, 1e-154]], prefix="y")
+        for bandwidth in (5.3e-155, 9.4e153):
+            assert 0.0 < 1.0 / (2.0 * bandwidth * bandwidth) < math.inf
+            assert math.isfinite(mmd_calculator(rows, other, KernelConfig(bandwidth)).mean)
+        for bandwidth in (5.2e-155, 9.5e153):
+            with pytest.raises(ValueError, match=r"^bandwidth must be in \["):
+                KernelConfig(bandwidth)
+
 
 class TestMmd:
     def test_self_is_exact_zero(self):
@@ -496,6 +508,17 @@ class TestMedianSelection:
             else:
                 with pytest.raises(NonFiniteValue):
                     median_heuristic(s_set, l_set)
+
+    def test_median_too_small_to_scale_is_non_finite(self):
+        # the median of test_zeros_next_to_subnormal_distances is about 3e-160:
+        # 1 / (2 b^2) is infinite, and a repeated row would score 0 * inf = NaN
+        rng = np.random.default_rng(4)
+        large = rng.integers(0, 6, size=(150, 2)) * 1e-160
+        large[::4] = large[0]
+        s_set, l_set = as_set(large[:40]), as_set(large, prefix="y")
+        assert 0.0 < median_heuristic(s_set, l_set) < 1e-155
+        with pytest.raises(NonFiniteValue, match="median-heuristic bandwidth"):
+            mmd_calculator(s_set, l_set, repetitions=3)
 
 
 def pinned_estimate(n_s, prefix, bandwidth, normalized):
