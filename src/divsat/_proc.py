@@ -100,7 +100,8 @@ class External:
     failure: type[DivsatError] = DivsatError
 
     def __init__(self, command: Sequence[str] | str, timeout: float = 300.0):
-        """A command string is split like a shell would; an empty one raises SpawnError.
+        """A command string is split like a shell would; an empty one, or a sequence
+        with an entry that is not a string, raises SpawnError.
 
         ``timeout`` is seconds in (0, _MAX_TIMEOUT], a number but not a bool;
         any other value raises ValueError here, before any child is launched.
@@ -112,6 +113,8 @@ class External:
             raise SpawnError(f"cannot parse command {command!r}: {exc}") from None
         if not self._argv:
             raise SpawnError("the command is empty")
+        if not all(isinstance(part, str) for part in self._argv):
+            raise SpawnError(f"every entry of the command must be a string: {self._argv!r}")
         self._timeout = timeout
 
     def _run(self, *extra_args: str, input_text: str | None = None) -> str:

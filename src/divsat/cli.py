@@ -3,9 +3,12 @@
 One binary, subcommand per capability, JSON reports on stdout with
 lexicographically sorted keys so outputs diff cleanly. Domain failures
 exit 1 with ``{"error": {"code", "message"}}`` on stderr; flag and usage
-problems exit 2. Every stochastic subcommand takes ``--seed`` (falling
-back to the DIVSAT_SEED environment variable, then 0) and is then
-byte-reproducible.
+problems exit 2. A subcommand takes only the shared flags it reads, and
+any other is a usage error: every subcommand that prints a report takes
+``--format``, the ones that run external commands (saturate, filter run)
+take ``--timeout``, and saturate alone, the one that logs, takes ``-v``.
+Every stochastic subcommand takes ``--seed`` (falling back to the
+DIVSAT_SEED environment variable, then 0) and is then byte-reproducible.
 """
 
 from __future__ import annotations
@@ -75,17 +78,11 @@ class _Parser(argparse.ArgumentParser):
             super()._print_message(message, file)
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed; falls back to DIVSAT_SEED, then 0")
-    common.add_argument("--format", choices=("json", "pretty"), default="json",
-                        help="report format (default json)")
-    common.add_argument("--timeout", type=_TIMEOUT, default=300.0,
-                        help="seconds allowed per external command (default 300)")
-    common.add_argument("-v", "--verbose", action="store_true",
-                        help="log progress to stderr: one line per saturation iteration")
-    return common
+def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring one shared flag, for the subcommands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
 
 
 def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
@@ -94,7 +91,14 @@ def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
+    fmt = _flag("--format", choices=("json", "pretty"), default="json",
+                help="report format (default json)")
+    seed = _flag("--seed", type=int, default=None,
+                 help="RNG seed; falls back to DIVSAT_SEED, then 0")
+    timeout = _flag("--timeout", type=_TIMEOUT, default=300.0,
+                    help="seconds allowed per external command (default 300)")
+    verbose = _flag("-v", "--verbose", action="store_true",
+                    help="log progress to stderr: one line per saturation iteration")
     parser = _Parser(
         prog="divsat",
         description="Diversity metrics, saturation detection, and filter "
@@ -103,12 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"divsat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
 
-    p = sub.add_parser("diversity", parents=[common],
+    p = sub.add_parser("diversity", parents=[fmt],
                        help="absolute diversity metrics of one embedding set")
     p.add_argument("set", help="embedding JSONL file")
     p.set_defaults(handler=cmd_diversity)
 
-    p = sub.add_parser("mmd", parents=[common],
+    p = sub.add_parser("mmd", parents=[fmt, seed],
                        help="comparative diversity between two embedding sets")
     p.add_argument("x", help="first embedding JSONL file")
     p.add_argument("y", help="second embedding JSONL file")
@@ -119,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report raw kernel sums instead of dividing by N^2")
     p.set_defaults(handler=cmd_mmd)
 
-    p = sub.add_parser("saturate", parents=[common],
+    p = sub.add_parser("saturate", parents=[fmt, seed, timeout, verbose],
                        help="grow a set until comparative diversity saturates")
     init = p.add_mutually_exclusive_group(required=True)
     init.add_argument("--init", help="initial embedding JSONL file")
@@ -148,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="where to write the per-iteration trace")
     p.set_defaults(handler=cmd_saturate)
 
-    p = sub.add_parser("synth", parents=[common],
+    p = sub.add_parser("synth", parents=[fmt, seed],
                        help="write a seeded synthetic Gaussian embedding set")
     p.add_argument("--k", type=_POSITIVE_INT, required=True, help="embedding dimension")
     p.add_argument("--n", type=_POSITIVE_INT, required=True, help="number of records")
@@ -158,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="where to write the set")
     p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("synth-provider", parents=[common],
+    p = sub.add_parser("synth-provider", parents=[seed],
                        help="synthetic source speaking the provider/embedder wire contracts")
     p.add_argument("--role", choices=("provider", "embedder"), required=True)
     p.add_argument("--k", type=_POSITIVE_INT, required=True, help="embedding dimension")
@@ -177,11 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="(appended by the caller) accepted and ignored")
     p.set_defaults(handler=cmd_synth_provider)
 
-    p = sub.add_parser("filter", parents=[],
-                       help="judge captions for relevance, or score past verdicts")
+    p = sub.add_parser("filter", help="judge captions for relevance, or score past verdicts")
     filter_sub = p.add_subparsers(dest="filter_command", required=True, metavar="ACTION")
 
-    pr = filter_sub.add_parser("run", parents=[common], help="judge captions")
+    pr = filter_sub.add_parser("run", parents=[fmt, timeout], help="judge captions")
     pr.add_argument("--activity", required=True, help="activity the captions must describe")
     pr.add_argument("--captions", required=True, help="caption JSONL file")
     pr.add_argument("--judge", required=True,
@@ -191,13 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", required=True, help="where to write verdict JSONL")
     pr.set_defaults(handler=cmd_filter_run)
 
-    pe = filter_sub.add_parser("eval", parents=[common],
+    pe = filter_sub.add_parser("eval", parents=[fmt],
                                help="confusion metrics for saved verdicts")
     pe.add_argument("--verdicts", required=True, help="verdict JSONL file")
     pe.add_argument("--truth", required=True, help="ground-truth JSONL file")
     pe.set_defaults(handler=cmd_filter_eval)
 
-    p = sub.add_parser("correlate", parents=[common],
+    p = sub.add_parser("correlate", parents=[fmt],
                        help="pairwise correlations between three aligned series")
     p.add_argument("--text", required=True, help="JSON array (or array of arrays) of numbers")
     p.add_argument("--motion", required=True, help="JSON array (or array of arrays) of numbers")
@@ -206,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nested input only: aggregate with Fisher-z averaging, not the raw mean")
     p.set_defaults(handler=cmd_correlate)
 
-    p = sub.add_parser("impact", parents=[common],
+    p = sub.add_parser("impact", parents=[fmt],
                        help="diversity change between two embedding sets")
     p.add_argument("before", help="embedding JSONL file before filtering")
     p.add_argument("after", help="embedding JSONL file after filtering")
@@ -608,8 +611,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.seed = _resolve_seed(args)
-        if args.verbose:
+        if "seed" in args:
+            args.seed = _resolve_seed(args)
+        if getattr(args, "verbose", False):
             import logging
 
             logging.basicConfig(stream=sys.stderr, level=logging.INFO,

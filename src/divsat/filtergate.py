@@ -102,15 +102,23 @@ class Judge(Protocol):
 def build_filter_prompts(
     activity: str, captions: Sequence[CaptionItem]
 ) -> list[FilterPrompt]:
-    """Chunk captions into numbered prompts of at most ten, preserving order."""
+    """Chunk captions into numbered prompts of at most ten, preserving order.
+
+    A caption id given twice raises DuplicateId: its two verdicts could not
+    be told apart, so no judge call is made for them.
+    """
     items = list(captions)
     if not items:
         raise EmptyInput("no captions to judge")
+    seen: set[str] = set()
     for item in items:
         if item.activity != activity:
             raise ValueError(
                 f"caption {item.id!r} has activity {item.activity!r}, expected {activity!r}"
             )
+        if item.id in seen:
+            raise DuplicateId(f"caption id {item.id!r} repeated")
+        seen.add(item.id)
     prompts: list[FilterPrompt] = []
     system = SYSTEM_TEMPLATE.format(activity=activity)
     for start in range(0, len(items), PROMPT_BATCH_SIZE):

@@ -261,9 +261,18 @@ def median_heuristic(x_set: EmbeddingSet, y_set: EmbeddingSet) -> float:
     return _Pairs(x_set.vectors, y_set.vectors, True).median()
 
 
+def _median_bandwidth(pairs: _Pairs) -> float:
+    """The median-heuristic bandwidth of ``pairs``: a median the kernel cannot
+    scale distances by raises NonFiniteValue, as one that overflows does."""
+    return _bandwidth("the median-heuristic bandwidth", pairs.median(), NonFiniteValue)
+
+
 def resolve_bandwidth(cfg: KernelConfig, x_set: EmbeddingSet, y_set: EmbeddingSet) -> float:
+    """The bandwidth ``mmd_calculator`` uses for these sets: the configured one, or
+    the median heuristic under the bandwidth rule, so it is valid in a KernelConfig."""
     if cfg.bandwidth == MEDIAN_HEURISTIC:
-        return median_heuristic(x_set, y_set)
+        _same_dimension(x_set, y_set)
+        return _median_bandwidth(_Pairs(x_set.vectors, y_set.vectors, True))
     return float(cfg.bandwidth)
 
 
@@ -349,10 +358,7 @@ def mmd_calculator(
         ], dtype=np.float64)
     store = cfg.bandwidth == MEDIAN_HEURISTIC  # the median reads the stored tiles
     pairs = _Pairs(a_set.vectors, b_set.vectors, store)
-    if store:  # a median the kernel cannot scale fails as one that overflows does
-        bandwidth = _bandwidth("the median-heuristic bandwidth", pairs.median(), NonFiniteValue)
-    else:
-        bandwidth = float(cfg.bandwidth)
+    bandwidth = _median_bandwidth(pairs) if store else float(cfg.bandwidth)
     t, q, x = pairs.sums(bandwidth, counts)
     raw = (q + t - 2.0 * x) / (target * target)
     scores = np.where((NEGATIVE_CLAMP <= raw) & (raw < 0.0), 0.0, raw)

@@ -136,6 +136,41 @@ def test_only_seed_is_a_bare_number():
 
 SATURATE = ["saturate", "--init-count", "4", "--provider", "p", "--embedder", "e", "--out", "o"]
 
+# each subcommand's shortest valid command line, and the shared flags it reads
+SHARED_FLAGS = {
+    "diversity": (["diversity", "x"], {"--format"}),
+    "mmd": (["mmd", "x", "y"], {"--format", "--seed"}),
+    "saturate": (SATURATE, {"--format", "--seed", "--timeout", "-v"}),
+    "synth": (["synth", "--k", "2", "--n", "3", "--out", "o"], {"--format", "--seed"}),
+    "synth-provider": (["synth-provider", "--role", "provider", "--k", "2"], {"--seed"}),
+    "filter run": (["filter", "run", "--activity", "a", "--captions", "c", "--judge", "j",
+                    "--out", "o"], {"--format", "--timeout"}),
+    "filter eval": (["filter", "eval", "--verdicts", "v", "--truth", "t"], {"--format"}),
+    "correlate": (["correlate", "--text", "t", "--motion", "m", "--f1", "f"], {"--format"}),
+    "impact": (["impact", "a", "b"], {"--format"}),
+}
+# one use of each shared flag, by the option string that names it above
+SHARED_USES = {"--format": ["--format", "json"], "--seed": ["--seed", "3"],
+               "--timeout": ["--timeout", "5"], "-v": ["-v"]}
+
+
+@pytest.mark.parametrize("name", list(SHARED_FLAGS))
+def test_subcommand_takes_only_the_shared_flags_it_reads(capsys, name):
+    argv, shared = SHARED_FLAGS[name]
+    parser = build_parser()
+    for word in name.split():
+        parser = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)).choices[word]
+    declared = {action.option_strings[0] for action in options_of(parser)}
+    assert declared & set(SHARED_USES) == shared
+    build_parser().parse_args(argv + [word for flag in shared for word in SHARED_USES[flag]])
+    for flag in set(SHARED_USES) - shared:
+        # an inert flag is refused, not accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + SHARED_USES[flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(SHARED_USES[flag]) in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv, message", [
     (["mmd", "x", "y", "--reps", "0"], "--reps: must be an integer >= 1, got '0'"),
@@ -144,7 +179,7 @@ SATURATE = ["saturate", "--init-count", "4", "--provider", "p", "--embedder", "e
     ([*SATURATE, "--perc", "1.5"], "--perc: must be a number in (0, 1], got '1.5'"),
     (["mmd", "x", "y", "--bandwidth", "nan"],
      "--bandwidth: must be a finite positive number in [5.3e-155, 9.4e153], got 'nan'"),
-    (["diversity", "x", "--timeout", "0"], "--timeout: must be seconds in (0, 2147483], got '0'"),
+    ([*SATURATE, "--timeout", "0"], "--timeout: must be seconds in (0, 2147483], got '0'"),
 ])
 def test_flag_error_states_the_library_rule(capsys, argv, message):
     # the flag's type applies the rule the library applies to the argument it feeds
@@ -162,7 +197,8 @@ class TestReportEnvelope:
         payload = report_of(out)
         assert payload["command"] == "diversity"
         assert payload["version"] == __version__
-        assert payload["config"]["seed"] == 0
+        # the config echoes the flags diversity takes, and --seed is not one of them
+        assert payload["config"] == {"command": "diversity", "format": "json", "set": str(path)}
         assert payload["duration_s"] >= 0
         # stdout must already be in sorted-key form, byte for byte
         assert out.strip() == json.dumps(payload, sort_keys=True)
@@ -206,17 +242,24 @@ class TestSeedResolution:
 
     def test_env_seed_is_echoed(self, run_cli, write_jsonl):
         path = write_jsonl("square.jsonl", SQUARE)
-        code, out, err = run_cli("diversity", path, env={"DIVSAT_SEED": "9"})
+        code, out, err = run_cli("mmd", path, path, env={"DIVSAT_SEED": "9"})
         assert code == 0
         assert report_of(out)["config"]["seed"] == 9
 
     def test_bad_env_seed_is_usage_error(self, run_cli, write_jsonl):
         path = write_jsonl("square.jsonl", SQUARE)
-        code, out, err = run_cli("diversity", path, env={"DIVSAT_SEED": "many"})
+        code, out, err = run_cli("mmd", path, path, env={"DIVSAT_SEED": "many"})
         assert code == 2
         assert err.startswith("divsat:")
         with pytest.raises(ValueError):
             json.loads(err)
+
+    def test_env_seed_is_not_read_without_seed_flag(self, run_cli, write_jsonl):
+        # diversity is deterministic and takes no --seed, so DIVSAT_SEED is not its concern
+        path = write_jsonl("square.jsonl", SQUARE)
+        code, out, err = run_cli("diversity", path, env={"DIVSAT_SEED": "many"})
+        assert code == 0
+        assert "seed" not in report_of(out)["config"]
 
 
 class TestDiversityCommand:

@@ -264,6 +264,14 @@ class TestRunFilter:
             run_filter("walking", captions(1), judge, retries=2)
         assert judge.calls == 3
 
+    def test_repeated_id_is_refused_before_any_judge_call(self):
+        # the repeat falls in the second batch; the first is not judged either
+        items = captions(12) + [CaptionItem(id="c3", caption="motion again", activity="walking")]
+        judge = self.ScriptedJudge([])
+        with pytest.raises(DuplicateId, match="^caption id 'c3' repeated$"):
+            run_filter("walking", items, judge)
+        assert judge.calls == 0
+
     def test_negative_retries_rejected(self):
         judge = self.ScriptedJudge(["1. yes"])
         with pytest.raises(ValueError):

@@ -519,6 +519,9 @@ class TestMedianSelection:
         assert 0.0 < median_heuristic(s_set, l_set) < 1e-155
         with pytest.raises(NonFiniteValue, match="median-heuristic bandwidth"):
             mmd_calculator(s_set, l_set, repetitions=3)
+        # resolve_bandwidth refuses it too, so what it returns always makes a KernelConfig
+        with pytest.raises(NonFiniteValue, match="median-heuristic bandwidth"):
+            resolve_bandwidth(KernelConfig(), s_set, l_set)
 
 
 def pinned_estimate(n_s, prefix, bandwidth, normalized):

@@ -527,7 +527,9 @@ class TestExternal:
         got = external_provider(argv).next_batch(3)
         assert got == ["caption\u20280", "caption\u20291", "caption\u00852"]
 
-    @pytest.mark.parametrize("command", ["", "   ", [], "'unclosed"])
+    # a list entry that is not a string would reach Popen and raise a raw TypeError
+    @pytest.mark.parametrize("command", ["", "   ", [], "'unclosed", [sys.executable, 5],
+                                         [sys.executable, None]])
     def test_command_that_cannot_be_run_is_spawn_error(self, command):
         for wrap in (external_provider, external_embedder, external_judge):
             with pytest.raises(SpawnError):
