@@ -133,9 +133,9 @@ _SUBMODULE = {
             "median_heuristic", "mmd", "mmd_calculator", "resolve_bandwidth",
         ),
         "saturation": (
-            "BatchProvider", "Embedder", "SaturationConfig", "SaturationState",
-            "SaturationTrace", "StopReason", "TraceStep", "external_embedder",
-            "external_provider", "run_saturation", "saturation_step", "write_trace",
+            "BatchProvider", "Embedder", "SaturationConfig", "SaturationTrace",
+            "StopReason", "TraceStep", "external_embedder", "external_provider",
+            "run_saturation", "write_trace",
         ),
         "synth": (
             "DriftSpec", "GaussianSpec", "SyntheticSource", "drifting_provider",

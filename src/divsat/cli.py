@@ -9,6 +9,8 @@ any other is a usage error: every subcommand that prints a report takes
 take ``--timeout``, and saturate alone, the one that logs, takes ``-v``.
 Every stochastic subcommand takes ``--seed`` (falling back to the
 DIVSAT_SEED environment variable, then 0) and is then byte-reproducible.
+Within synth-provider, each role refuses the flags only the other reads,
+so the provider role takes no ``--seed``.
 """
 
 from __future__ import annotations
@@ -166,19 +168,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthetic source speaking the provider/embedder wire contracts")
     p.add_argument("--role", choices=("provider", "embedder"), required=True)
     p.add_argument("--k", type=_POSITIVE_INT, required=True, help="embedding dimension")
-    p.add_argument("--sigma", type=_POSITIVE, default=1.0)
+    p.add_argument("--sigma", type=_POSITIVE, default=None,
+                   help="embedder role: per-axis stddev (default 1)")
     p.add_argument("--mean", default=None,
-                   help="mean vector, same syntax as synth --mean-shift")
+                   help="embedder role: mean vector, same syntax as synth --mean-shift")
     p.add_argument("--drift", default=None,
-                   help="per-call mean drift vector (needs --state to take effect)")
+                   help="embedder role: per-call mean drift vector (needs --state to take effect)")
     p.add_argument("--state", default=None,
                    help="counter file persisting progress across invocations")
     p.add_argument("--limit", type=_COUNT, default=None,
-                   help="total item budget; the provider exhausts past it")
+                   help="provider role: total item budget; the provider exhausts past it")
     p.add_argument("--count", type=_COUNT, default=None,
-                   help="(appended by the caller) batch size for the provider role")
+                   help="provider role (appended by the caller): batch size")
     p.add_argument("--activity", default=None,
-                   help="(appended by the caller) accepted and ignored")
+                   help="provider role (appended by the caller): accepted and ignored")
     p.set_defaults(handler=cmd_synth_provider)
 
     p = sub.add_parser("filter", help="judge captions for relevance, or score past verdicts")
@@ -423,10 +426,25 @@ def _bump_state(path: str | None, amount: int) -> int:
     return base
 
 
+# the synth-provider flags that only the other role reads
+_FOREIGN_FLAGS = {"provider": ("seed", "sigma", "mean", "drift"),
+                  "embedder": ("count", "limit", "activity")}
+
+
+def _refuse_foreign_flags(args: argparse.Namespace) -> None:
+    """Refuse a synth-provider flag its role does not read, then drop them all.
+
+    Called on the flags as typed, before DIVSAT_SEED fills in ``--seed``,
+    so the provider role, which reads no seed, never reads the variable.
+    """
+    for name in _FOREIGN_FLAGS[args.role]:
+        if getattr(args, name) is not None:
+            raise UsageError(f"the {args.role} role does not take --{name}")
+        delattr(args, name)
+
+
 def cmd_synth_provider(args: argparse.Namespace) -> None:
     """Write the role's wire lines to stdout, or none of them on a failure."""
-    mean = _parse_vector(args.mean, args.k, "--mean")
-    drift = _parse_vector(args.drift, args.k, "--drift")
     if args.role == "provider":
         if args.count is None:
             raise UsageError("the provider role needs --count")
@@ -438,12 +456,15 @@ def cmd_synth_provider(args: argparse.Namespace) -> None:
         return
     # embedder role: one call embeds one batch; the persisted counter says
     # how many batches came before, which positions the drifting mean
+    mean = _parse_vector(args.mean, args.k, "--mean")
+    drift = _parse_vector(args.drift, args.k, "--drift")
     from ._proc import json_objects, split_lines
     from .embedset import _row_json
     from .rng import make_rng
     from .synth import GaussianSpec, token_vector
 
-    spec = GaussianSpec(k=args.k, sigma=args.sigma, mean=mean, seed=args.seed)
+    sigma = 1.0 if args.sigma is None else args.sigma
+    spec = GaussianSpec(k=args.k, sigma=sigma, mean=mean, seed=args.seed)
     # numpy.random loads with the first generator: build one before the batch
     # arrives, so a child started ahead has done it by then
     make_rng(spec.seed)
@@ -611,6 +632,8 @@ def dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.command == "synth-provider":
+            _refuse_foreign_flags(args)
         if "seed" in args:
             args.seed = _resolve_seed(args)
         if getattr(args, "verbose", False):

@@ -6,7 +6,9 @@ draw is :func:`resample`. A seed makes every operation bit-reproducible on
 one numpy release. Across releases NEP 19 keeps the PCG64 bit stream
 stable, but not the algorithms of ``Generator`` methods such as
 ``integers`` and ``standard_normal``; the bit-pinned tests would catch such
-a change.
+a change. The pinned bits also hold only at the SIMD dispatch level they
+were recorded on: numpy's ``exp`` and ``log`` differ in their last bits
+with and without AVX-512 (ROADMAP item 11 plans the fix).
 """
 
 from __future__ import annotations

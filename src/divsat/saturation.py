@@ -93,24 +93,12 @@ class SaturationConfig:
 
 
 @dataclass(frozen=True)
-class SaturationState:
-    """Accumulated set plus the acceptance window and streak counter.
-
-    The (-1, -1) window sentinel guarantees the first score falls outside
-    (scores are never negative), so the window always recenters on real
-    data before any streak can start.
-    """
-
-    embeddings: EmbeddingSet
-    stop_condition: int = 0
-    range_min: float = -1.0
-    range_max: float = -1.0
-    iteration: int = 0
-
-
-@dataclass(frozen=True)
 class TraceStep:
-    """One iteration's record: the score, the window after it, the streak."""
+    """One iteration's record: the score, the window after it, the streak.
+
+    The loop keeps no other per-iteration state: each step is computed from
+    the one before it.
+    """
 
     iteration: int
     batch_size: int
@@ -135,45 +123,26 @@ class SaturationTrace:
         return len(self.steps)
 
 
-def saturation_step(
-    state: SaturationState,
-    estimate: MmdEstimate,
-    cfg: SaturationConfig,
-    batch: EmbeddingSet,
-) -> SaturationState:
-    """One pure acceptance-window transition.
-
-    A score strictly inside (range_min, range_max) increments the streak and
-    widens the window to cover score +/- stddev; any other score resets the
-    streak to zero and recenters the window there. The batch joins the
-    accumulated set in both cases.
-    """
-    return _advance(state, estimate, _merge(state.embeddings, batch), batch.size)[0]
-
-
-def _advance(
-    state: SaturationState, estimate: MmdEstimate, merged: EmbeddingSet, batch_size: int
-) -> tuple[SaturationState, TraceStep]:
-    # The window transition and its trace record; ``merged`` is the state's
-    # set with the batch of ``batch_size`` rows appended.
+def _advance(last: TraceStep | None, estimate: MmdEstimate, batch_size: int) -> TraceStep:
+    # The step after ``last`` (None before the first): a score strictly inside
+    # last's window extends the streak and can only widen the window; any
+    # other score, and the first, resets the streak and recenters the window
+    # at score +/- stddev.
     score = estimate.mean
     spread = estimate.stddev
-    in_window = state.range_min < score < state.range_max
+    in_window = last is not None and last.range_min < score < last.range_max
     if in_window:
-        stop = state.stop_condition + 1
-        range_min = min(score - spread, state.range_min)
-        range_max = max(score + spread, state.range_max)
+        stop = last.stop_condition + 1
+        range_min = min(score - spread, last.range_min)
+        range_max = max(score + spread, last.range_max)
     else:
         stop = 0
         range_min = score - spread
         range_max = score + spread
-    iteration = state.iteration + 1
-    window = dict(stop_condition=stop, range_min=range_min, range_max=range_max)
-    return (
-        SaturationState(embeddings=merged, iteration=iteration, **window),
-        TraceStep(iteration=iteration, batch_size=batch_size, mmd_mean=score,
-                  mmd_stddev=spread, in_window=in_window, **window),
-    )
+    return TraceStep(iteration=last.iteration + 1 if last is not None else 1,
+                     batch_size=batch_size, mmd_mean=score, mmd_stddev=spread,
+                     in_window=in_window, stop_condition=stop,
+                     range_min=range_min, range_max=range_max)
 
 
 MmdFunction = Callable[[EmbeddingSet, EmbeddingSet, SaturationConfig, int], MmdEstimate]
@@ -228,8 +197,10 @@ def run_saturation(
             XOR the 1-based iteration number.
         context: optional string map passed to the provider (for example an
             activity name).
-        mmd_fn: override for the scoring function, used to replay scripted
-            estimates; defaults to the resampling MMD estimator comparing
+        mmd_fn: override for the scoring function, called as
+            ``mmd_fn(current, combined, cfg, seed)``; it is how a caller
+            scripts the estimates and so the window, which ``trace.steps``
+            then records. Defaults to the resampling MMD estimator comparing
             the current set against current plus batch. Its median-heuristic
             bandwidth pools the two, so every current point counts twice;
             that is the long-standing definition, kept on purpose.
@@ -253,25 +224,25 @@ def run_saturation(
     """
     estimator = mmd_fn if mmd_fn is not None else _default_mmd
     steps: list[TraceStep] = []
-    state: SaturationState | None = None
+    current: EmbeddingSet | None = None
     reason = StopReason.SATURATED
     embeds = _Embeds(embedder)
     try:
         if isinstance(initial, EmbeddingSet):
-            start, exhausted = initial, False
+            current, exhausted = initial, False
         else:
             _positive_int("bootstrap size", initial)
-            start, exhausted = _batch(provider, embeds.next(ahead=True), int(initial),
-                                      context, "during bootstrap")
-            if start is None:
+            current, exhausted = _batch(provider, embeds.next(ahead=True), int(initial),
+                                        context, "during bootstrap")
+            if current is None:
                 raise ProviderError("provider produced no items during bootstrap")
-        state = SaturationState(embeddings=start)
-        while not exhausted and state.stop_condition <= cfg.early_stop:
-            if state.iteration >= cfg.max_iterations:
+        start_size = current.size
+        while not exhausted and (not steps or steps[-1].stop_condition <= cfg.early_stop):
+            iteration = len(steps) + 1
+            if iteration > cfg.max_iterations:
                 reason = StopReason.MAX_ITERATIONS
                 break
-            iteration = state.iteration + 1
-            base = start.size if cfg.fixed_batch else state.embeddings.size
+            base = start_size if cfg.fixed_batch else current.size
             count = max(1, math.ceil(cfg.perc * base))
             batch, exhausted = _batch(provider, embeds.next(ahead=iteration < cfg.max_iterations),
                                       count, context, f"at iteration {iteration}")
@@ -280,25 +251,26 @@ def run_saturation(
             # Batch ids are prefixed with the iteration so batches never collide
             # with each other; an initial set can still hold such ids (an earlier
             # run's output passed back in), which raises DuplicateId here.
-            combined = _merge(state.embeddings, batch, id_prefix=f"b{iteration}_")
-            estimate = estimator(state.embeddings, combined, cfg, as_uint64(cfg.seed ^ iteration))
-            state, step = _advance(state, estimate, combined, batch.size)
+            combined = _merge(current, batch, id_prefix=f"b{iteration}_")
+            estimate = estimator(current, combined, cfg, as_uint64(cfg.seed ^ iteration))
+            step = _advance(steps[-1] if steps else None, estimate, batch.size)
             steps.append(step)
+            current = combined
             log.info(
                 "iteration %d: n=%d score=%.6g sd=%.6g window=(%.6g, %.6g) streak=%d",
-                iteration, state.embeddings.size, estimate.mean, estimate.stddev,
-                state.range_min, state.range_max, state.stop_condition,
+                step.iteration, current.size, step.mmd_mean, step.mmd_stddev,
+                step.range_min, step.range_max, step.stop_condition,
             )
     except DivsatError as exc:
         # The one failure boundary: whatever failed, the work so far is kept.
         exc.trace_steps = tuple(steps)
-        exc.partial_set = state.embeddings if state is not None else None
+        exc.partial_set = current
         raise
     finally:
         embeds.close()
     if exhausted:
         reason = StopReason.PROVIDER_EXHAUSTED
-    return state.embeddings, SaturationTrace(steps=tuple(steps), reason=reason)
+    return current, SaturationTrace(steps=tuple(steps), reason=reason)
 
 
 _EmbedCall = Callable[[Sequence[str]], EmbeddingSet]

@@ -26,7 +26,6 @@ from divsat import (
     MmdEstimate,
     PairedSeries,
     SaturationConfig,
-    SaturationState,
     StopReason,
     build_filter_prompts,
     centroid_diversity,
@@ -40,7 +39,6 @@ from divsat import (
     pearson_r,
     run_filter,
     run_saturation,
-    saturation_step,
     std_diversity,
     stationary_provider,
     subset,
@@ -318,7 +316,7 @@ def test_criterion_05_trace_fidelity(announce):
             failures.append(f"hand trace step {step.iteration} in_window wrong")
         stop = new_stop
 
-    # half two: 200 random scripts, run_saturation vs repeated saturation_step
+    # half two: 200 random scripts, run_saturation against the pure-step oracle
     rng = np.random.default_rng(105)
     for case in range(200):
         length = int(rng.integers(1, 25))
@@ -332,18 +330,20 @@ def test_criterion_05_trace_fidelity(announce):
         cfg = SaturationConfig(early_stop=early, seed=case, max_iterations=length)
         _, trace = run_saturation(initial, source, source, cfg,
                                   mmd_fn=scripted_estimates(script))
-        state = SaturationState(embeddings=initial)
-        for step, (score, sd) in zip(trace.steps, script):
-            estimate = MmdEstimate(mean=score, stddev=sd, repetitions=1,
-                                   bandwidth_used=1.0, sizes=(1, 1))
-            batch = EmbeddingSet.from_array(
-                np.zeros((1, 2)), id_prefix=f"r{case}_{step.iteration}_"
-            )
-            state = saturation_step(state, estimate, cfg, batch)
-            replay = (state.range_min, state.range_max, state.stop_condition)
-            got = (step.range_min, step.range_max, step.stop_condition)
-            if replay != got:
-                failures.append(f"case {case} step {step.iteration}: {got} != {replay}")
+        # the oracle's steps up to the first saturating one, exactly
+        window, stop, replay = (-1.0, -1.0), 0, []
+        for score, sd in script:
+            window, new_stop = pure_step(window, stop, score, sd)
+            replay.append((*window, new_stop, new_stop == stop + 1))
+            stop = new_stop
+            if stop > early:
+                break
+        got = [(s.range_min, s.range_max, s.stop_condition, s.in_window) for s in trace.steps]
+        if got != replay:
+            failures.append(f"case {case}: {len(got)} steps {got} != {len(replay)} {replay}")
+        expected = StopReason.SATURATED if stop > early else StopReason.MAX_ITERATIONS
+        if trace.reason is not expected:
+            failures.append(f"case {case}: ended {trace.reason}, oracle {expected}")
     announce(5, "growth-loop trace matches the pure step", failures,
              "3-step hand trace + 200 random scripts")
 
@@ -636,7 +636,7 @@ def test_criterion_12_cli_determinism(announce, run_cli, tmp_path, stub_script, 
             False, None, None, (synth_out,),
         ),
         "synth-provider(provider)": (
-            ("synth-provider", "--role", "provider", "--k", 2, "--count", 4, "--seed", 2),
+            ("synth-provider", "--role", "provider", "--k", 2, "--count", 4),
             True, None, None, (),
         ),
         "synth-provider(embedder)": (

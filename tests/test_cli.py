@@ -463,15 +463,18 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("role, flag, value", [
         ("provider", "--sigma", "-1"), ("embedder", "--sigma", "inf"),
+        ("embedder", "--sigma", "-1"), ("embedder", "--drift", "0.5,x"),
         ("embedder", "--mean", "nan"), ("embedder", "--drift", "inf"),
         ("embedder", "--mean", "1,2,3"), ("provider", "--drift", "0.5,x"),
         ("embedder", "--drift", "1e400"),
         ("provider", "--limit", "-1"), ("provider", "--count", "-1"),
     ])
     def test_provider_bad_distribution_rejected(self, run_cli, tmp_path, role, flag, value):
+        # a provider given an embedder flag is refused whatever its value
         state = tmp_path / "counter"
+        count = ("--count", 3) if role == "provider" else ()
         code, stdout, err = run_cli(
-            "synth-provider", "--role", role, "--k", 2, "--count", 3, "--state", state,
+            "synth-provider", "--role", role, "--k", 2, *count, "--state", state,
             flag, value, stdin='{"text": "a"}\n',
         )
         assert code == 2
@@ -481,7 +484,50 @@ class TestSynthCommand:
         assert not state.exists()
 
 
+# the flags each synth-provider role reads besides --role, --k and --state,
+# with one value each; either role refuses the other's
+ROLE_FLAGS = {
+    "provider": {"--count": "3", "--limit": "5", "--activity": "walking"},
+    "embedder": {"--seed": "1", "--sigma": "0.5", "--mean": "0", "--drift": "0.1"},
+}
+
+
 class TestSynthProviderCommand:
+    def test_role_flags_cover_the_subcommand(self):
+        parser = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)).choices["synth-provider"]
+        declared = {action.option_strings[-1] for action in options_of(parser)}
+        assert declared - {"--help", "--role", "--k", "--state"} == {
+            flag for flags in ROLE_FLAGS.values() for flag in flags}
+
+    @pytest.mark.parametrize("role", list(ROLE_FLAGS))
+    def test_role_takes_only_the_flags_it_reads(self, run_cli, tmp_path, role):
+        state = tmp_path / "state"
+        base = ("synth-provider", "--role", role, "--k", 2, "--state", state)
+        own = [word for flag, value in ROLE_FLAGS[role].items() for word in (flag, value)]
+        code, out, err = run_cli(*base, *own, stdin='{"text": "a"}\n')
+        assert code == 0, err
+        assert out != ""
+        counted = state.read_text()
+        (other,) = set(ROLE_FLAGS) - {role}
+        for flag, value in ROLE_FLAGS[other].items():
+            # refused before the counter moves or stdin is read
+            code, out, err = run_cli(*base, *own, flag, value, stdin='{"text": "a"}\n')
+            assert code == 2
+            assert f"the {role} role does not take {flag}" in err
+            assert out == ""
+            assert state.read_text() == counted
+
+    def test_provider_role_does_not_read_env_seed(self, run_cli):
+        argv = ("synth-provider", "--role", "provider", "--k", 2, "--count", 1)
+        code, out, err = run_cli(*argv, env={"DIVSAT_SEED": "many"})
+        assert code == 0, err
+        assert out == '{"text": "tok0"}\n'
+        code, out, err = run_cli("synth-provider", "--role", "embedder", "--k", 2,
+                                 stdin='{"text": "a"}\n', env={"DIVSAT_SEED": "many"})
+        assert code == 2
+        assert out == ""
+
     def test_provider_role_emits_wire_lines(self, run_cli):
         code, out, err = run_cli(
             "synth-provider", "--role", "provider", "--k", 2, "--count", 3
@@ -626,8 +672,9 @@ class TestSynthProviderCommand:
         # 4300 nines parse, but their successor has more digits than an int may print
         state = tmp_path / "state"
         state.write_text("9" * 4300)
+        count = ("--count", 1) if role == "provider" else ()
         code, stdout, err = run_cli(
-            "synth-provider", "--role", role, "--k", 2, "--count", 1, "--state", state,
+            "synth-provider", "--role", role, "--k", 2, *count, "--state", state,
             stdin='{"text": "a"}\n',
         )
         assert code == 2
@@ -728,18 +775,12 @@ class TestSaturateCommand:
         expected_savings = round(100.0 * (1.0 - result["final_size"] / 1000), 2)
         assert result["savings_pct"] == expected_savings
 
-    def test_verbose_logs_each_iteration(self, run_cli, tmp_path):
-        state, out_path, trace_path, args = self.saturate_args(tmp_path, "vv", max_iter=2)
-        code, stdout, err = run_cli(*args, "-vv", timeout=300)
+    @pytest.mark.parametrize("flag", ["-v", "-vv"])
+    def test_verbose_logs_each_iteration(self, run_cli, tmp_path, flag):
+        state, out_path, trace_path, args = self.saturate_args(tmp_path, "v", max_iter=2)
+        code, stdout, err = run_cli(*args, flag, timeout=300)
         assert code == 0, err
         # the line format the benchmark harness parses to time iterations
-        found = re.findall(r"^divsat\.saturation: iteration (\d+): n=\d+ ", err, re.MULTILINE)
-        assert found == ["1", "2"]
-
-    def test_single_verbose_logs_each_iteration(self, run_cli, tmp_path):
-        state, out_path, trace_path, args = self.saturate_args(tmp_path, "v", max_iter=2)
-        code, stdout, err = run_cli(*args, "-v", timeout=300)
-        assert code == 0, err
         found = re.findall(r"^divsat\.saturation: iteration (\d+): n=\d+ ", err, re.MULTILINE)
         assert found == ["1", "2"]
 

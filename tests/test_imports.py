@@ -127,7 +127,8 @@ def test_no_submodule_is_named_after_a_public_name():
     assert modules & set(divsat.__all__) == {"errors"}
 
 
-# the public names as they were when every submodule loaded eagerly
+# the public names as they were when every submodule loaded eagerly, less
+# SaturationState and saturation_step, removed with the one-record growth loop
 PUBLIC_NAMES = """
     AxisStats BatchProvider CaptionItem ConfusionMetrics CorrelationReport
     CorrelationResult CountMismatch DegenerateSeries DimensionMismatch
@@ -137,7 +138,7 @@ PUBLIC_NAMES = """
     InvalidRepetitions IoError JudgeError KernelConfig LabelMismatch
     LengthMismatch MEDIAN_HEURISTIC MalformedLine MissingVerdict MmdEstimate
     NonFiniteValue PairedSeries ProtocolError ProviderError SaturationConfig
-    SaturationState SaturationTrace SizeMismatch SpawnError StopReason
+    SaturationTrace SizeMismatch SpawnError StopReason
     SyntheticSource TraceStep UnknownId UnknownVerdictId UnparseableLine
     UsageError aggregate_r apply_filter axis_stats build_filter_prompts
     centroid_diversity correlate correlation_report diversity_impact
@@ -145,7 +146,7 @@ PUBLIC_NAMES = """
     external_judge external_provider gaussian_kernel gaussian_set load_captions
     load_set load_truth load_verdicts median_heuristic mmd mmd_calculator
     parse_filter_response pearson_p pearson_r
-    resolve_bandwidth run_filter run_saturation saturation_step
+    resolve_bandwidth run_filter run_saturation
     stationary_provider std_diversity subset token_vector write_set write_trace
     write_verdicts
 """.split()

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import shlex
 import subprocess
@@ -22,9 +23,9 @@ from divsat import (
     ProtocolError,
     ProviderError,
     SaturationConfig,
-    SaturationState,
     SpawnError,
     StopReason,
+    TraceStep,
     build_filter_prompts,
     drifting_provider,
     external_embedder,
@@ -32,10 +33,10 @@ from divsat import (
     external_provider,
     gaussian_set,
     run_saturation,
-    saturation_step,
     stationary_provider,
     write_trace,
 )
+from divsat.saturation import _advance
 
 
 def estimate(mean, sd):
@@ -82,55 +83,46 @@ class CountingSource(ListSource):
         return super().next_batch(count, context)
 
 
+def previous_step(stop_condition, range_min, range_max, iteration=1):
+    """A previous step holding the given window and streak."""
+    return TraceStep(iteration=iteration, batch_size=1, mmd_mean=0.5, mmd_stddev=0.1,
+                     in_window=stop_condition > 0, stop_condition=stop_condition,
+                     range_min=range_min, range_max=range_max)
+
+
 class TestStep:
-    def test_sentinel_forces_out_of_window(self):
-        state = SaturationState(embeddings=tiny_set([0.0, 0.0]))
-        nxt = saturation_step(state, estimate(0.50, 0.10), SaturationConfig(), tiny_set([1.0, 1.0], prefix="b"))
+    @pytest.mark.parametrize("score", [0.5, 0.0, -0.5, -1.0])
+    def test_first_score_is_out_of_window(self, score):
+        nxt = _advance(None, estimate(score, 0.10), 1)
+        assert not nxt.in_window
         assert nxt.stop_condition == 0
-        assert nxt.range_min == pytest.approx(0.40)
-        assert nxt.range_max == pytest.approx(0.60)
-        assert nxt.embeddings.size == 2
+        assert nxt.range_min == pytest.approx(score - 0.10)
+        assert nxt.range_max == pytest.approx(score + 0.10)
+        assert nxt.batch_size == 1
         assert nxt.iteration == 1
 
     def test_in_window_increments_and_expansion_is_noop_here(self):
-        state = SaturationState(
-            embeddings=tiny_set([0.0, 0.0]), stop_condition=0, range_min=0.40, range_max=0.60
-        )
-        nxt = saturation_step(state, estimate(0.55, 0.05), SaturationConfig(), tiny_set([1.0, 1.0], prefix="b"))
+        nxt = _advance(previous_step(0, 0.40, 0.60), estimate(0.55, 0.05), 1)
         assert nxt.stop_condition == 1
         assert nxt.range_min == pytest.approx(0.40, abs=1e-12)
         assert nxt.range_max == pytest.approx(0.60, abs=1e-12)
 
     def test_out_of_window_recenters(self):
-        state = SaturationState(
-            embeddings=tiny_set([0.0, 0.0]), stop_condition=3, range_min=0.40, range_max=0.60
-        )
-        nxt = saturation_step(state, estimate(0.30, 0.02), SaturationConfig(), tiny_set([1.0, 1.0], prefix="b"))
+        nxt = _advance(previous_step(3, 0.40, 0.60), estimate(0.30, 0.02), 1)
         assert nxt.stop_condition == 0
         assert nxt.range_min == pytest.approx(0.28)
         assert nxt.range_max == pytest.approx(0.32)
 
     def test_window_only_widens_in_streak(self):
-        state = SaturationState(
-            embeddings=tiny_set([0.0, 0.0]), stop_condition=1, range_min=0.40, range_max=0.60
-        )
-        nxt = saturation_step(state, estimate(0.45, 0.20), SaturationConfig(), tiny_set([1.0, 1.0], prefix="b"))
+        nxt = _advance(previous_step(1, 0.40, 0.60), estimate(0.45, 0.20), 1)
         assert nxt.stop_condition == 2
         assert nxt.range_min == pytest.approx(0.25)
         assert nxt.range_max == pytest.approx(0.65)
 
     def test_boundary_score_is_outside(self):
         # Strict inequalities: landing exactly on an edge resets the streak.
-        state = SaturationState(
-            embeddings=tiny_set([0.0, 0.0]), stop_condition=2, range_min=0.40, range_max=0.60
-        )
-        nxt = saturation_step(state, estimate(0.40, 0.01), SaturationConfig(), tiny_set([1.0, 1.0], prefix="b"))
+        nxt = _advance(previous_step(2, 0.40, 0.60), estimate(0.40, 0.01), 1)
         assert nxt.stop_condition == 0
-
-    def test_dimension_checked(self):
-        state = SaturationState(embeddings=tiny_set([0.0, 0.0]))
-        with pytest.raises(DimensionMismatch):
-            saturation_step(state, estimate(0.5, 0.1), SaturationConfig(), tiny_set([1.0], prefix="b"))
 
     def test_matches_oracle_on_random_sequences(self):
         rng = np.random.default_rng(6)
@@ -140,12 +132,11 @@ class TestStep:
             stop = int(rng.integers(0, 6))
             score = float(rng.uniform(-0.5, 2.0))
             sd = float(rng.uniform(0, 0.3))
-            state = SaturationState(
-                embeddings=tiny_set([0.0, 0.0]), stop_condition=stop, range_min=lo, range_max=hi
-            )
-            nxt = saturation_step(state, estimate(score, sd), SaturationConfig(), tiny_set([1.0, 1.0], prefix="b"))
+            nxt = _advance(previous_step(stop, lo, hi, iteration=4), estimate(score, sd), 1)
             (exp_lo, exp_hi), exp_stop = oracle_step((lo, hi), stop, score, sd)
             assert (nxt.range_min, nxt.range_max, nxt.stop_condition) == (exp_lo, exp_hi, exp_stop)
+            assert nxt.in_window == (exp_stop == stop + 1)
+            assert nxt.iteration == 5
 
 
 class TestRunScripted:
@@ -190,6 +181,25 @@ class TestRunScripted:
             assert (step.range_min, step.range_max) == new_window
             assert step.stop_condition == new_stop
             window, stop = new_window, new_stop
+
+    def test_log_lines_agree_with_the_trace(self, caplog):
+        initial = gaussian_set(GaussianSpec(k=2, seed=11), 10)
+        src = stationary_provider(GaussianSpec(k=2, seed=12))
+        cfg = SaturationConfig(early_stop=1, seed=0, perc=0.2, max_iterations=6)
+        script = [(0.5, 0.1), (0.9, 0.05), (0.88, 0.2), (0.3, 0.01), (0.31, 0.01), (0.305, 0.02)]
+        with caplog.at_level(logging.INFO, logger="divsat.saturation"):
+            final, trace = run_saturation(initial, src, src, cfg, mmd_fn=self.scripted_fn(script))
+        assert trace.iterations == 6
+        size, expected = initial.size, []
+        for step in trace.steps:
+            size += step.batch_size
+            expected.append(
+                f"iteration {step.iteration}: n={size} score={step.mmd_mean:.6g} "
+                f"sd={step.mmd_stddev:.6g} window=({step.range_min:.6g}, {step.range_max:.6g}) "
+                f"streak={step.stop_condition}"
+            )
+        assert size == final.size
+        assert [r.getMessage() for r in caplog.records if r.name == "divsat.saturation"] == expected
 
     def test_saturated_iff_final_streak(self):
         initial = gaussian_set(GaussianSpec(k=2, seed=5), 10)
