@@ -7,10 +7,10 @@ problems exit 2. A subcommand takes only the shared flags it reads, and
 any other is a usage error: every subcommand that prints a report takes
 ``--format``, the ones that run external commands (saturate, filter run)
 take ``--timeout``, and saturate alone, the one that logs, takes ``-v``.
-Every stochastic subcommand takes ``--seed`` (falling back to the
-DIVSAT_SEED environment variable, then 0) and is then byte-reproducible.
-Within synth-provider, each role refuses the flags only the other reads,
-so the provider role takes no ``--seed``.
+Every stochastic subcommand takes ``--seed`` (default 0), so its output
+bytes depend on its command line and input files alone. Within
+synth-provider, each role refuses the flags only the other reads, so the
+provider role takes no ``--seed``.
 """
 
 from __future__ import annotations
@@ -95,8 +95,7 @@ def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     fmt = _flag("--format", choices=("json", "pretty"), default="json",
                 help="report format (default json)")
-    seed = _flag("--seed", type=int, default=None,
-                 help="RNG seed; falls back to DIVSAT_SEED, then 0")
+    seed = _flag("--seed", type=int, default=0, help="RNG seed (default 0)")
     timeout = _flag("--timeout", type=_TIMEOUT, default=300.0,
                     help="seconds allowed per external command (default 300)")
     verbose = _flag("-v", "--verbose", action="store_true",
@@ -164,16 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="where to write the set")
     p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("synth-provider", parents=[seed],
+    p = sub.add_parser("synth-provider",
                        help="synthetic source speaking the provider/embedder wire contracts")
     p.add_argument("--role", choices=("provider", "embedder"), required=True)
     p.add_argument("--k", type=_POSITIVE_INT, required=True, help="embedding dimension")
+    p.add_argument("--seed", type=int, default=None, help="embedder role: RNG seed (default 0)")
     p.add_argument("--sigma", type=_POSITIVE, default=None,
                    help="embedder role: per-axis stddev (default 1)")
     p.add_argument("--mean", default=None,
                    help="embedder role: mean vector, same syntax as synth --mean-shift")
     p.add_argument("--drift", default=None,
-                   help="embedder role: per-call mean drift vector (needs --state to take effect)")
+                   help="embedder role, with --state only: per-call mean drift vector")
     p.add_argument("--state", default=None,
                    help="counter file persisting progress across invocations")
     p.add_argument("--limit", type=_COUNT, default=None,
@@ -219,18 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_impact)
 
     return parser
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("DIVSAT_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"DIVSAT_SEED must be an integer, got {raw!r}") from None
 
 
 def _kernel_from_args(args: argparse.Namespace) -> KernelConfig:
@@ -434,8 +422,8 @@ _FOREIGN_FLAGS = {"provider": ("seed", "sigma", "mean", "drift"),
 def _refuse_foreign_flags(args: argparse.Namespace) -> None:
     """Refuse a synth-provider flag its role does not read, then drop them all.
 
-    Called on the flags as typed, before DIVSAT_SEED fills in ``--seed``,
-    so the provider role, which reads no seed, never reads the variable.
+    Every role flag defaults to None, so a typed value is refused even when
+    it equals the default the other role applies (``--seed 0``).
     """
     for name in _FOREIGN_FLAGS[args.role]:
         if getattr(args, name) is not None:
@@ -456,6 +444,8 @@ def cmd_synth_provider(args: argparse.Namespace) -> None:
         return
     # embedder role: one call embeds one batch; the persisted counter says
     # how many batches came before, which positions the drifting mean
+    if args.drift is not None and args.state is None:
+        raise UsageError("--drift needs --state, which counts the calls it scales by")
     mean = _parse_vector(args.mean, args.k, "--mean")
     drift = _parse_vector(args.drift, args.k, "--drift")
     from ._proc import json_objects, split_lines
@@ -464,7 +454,8 @@ def cmd_synth_provider(args: argparse.Namespace) -> None:
     from .synth import GaussianSpec, token_vector
 
     sigma = 1.0 if args.sigma is None else args.sigma
-    spec = GaussianSpec(k=args.k, sigma=sigma, mean=mean, seed=args.seed)
+    seed = 0 if args.seed is None else args.seed
+    spec = GaussianSpec(k=args.k, sigma=sigma, mean=mean, seed=seed)
     # numpy.random loads with the first generator: build one before the batch
     # arrives, so a child started ahead has done it by then
     make_rng(spec.seed)
@@ -634,8 +625,6 @@ def dispatch(argv: list[str] | None = None) -> int:
     try:
         if args.command == "synth-provider":
             _refuse_foreign_flags(args)
-        if "seed" in args:
-            args.seed = _resolve_seed(args)
         if getattr(args, "verbose", False):
             import logging
 

@@ -21,7 +21,6 @@ if str(SRC) not in sys.path:
 def _child_env(extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("DIVSAT_SEED", None)
     if extra:
         env.update(extra)
     return env

@@ -222,15 +222,29 @@ class TestReportEnvelope:
 
 
 class TestSeedResolution:
-    def test_env_fallback_matches_flag(self, run_cli, tmp_path):
-        out_flag = tmp_path / "flag.jsonl"
-        out_env = tmp_path / "env.jsonl"
-        args = ("synth", "--k", 3, "--n", 20)
-        code, _, _ = run_cli(*args, "--seed", 7, "--out", out_flag)
-        assert code == 0
-        code, _, _ = run_cli(*args, "--out", out_env, env={"DIVSAT_SEED": "7"})
-        assert code == 0
-        assert out_flag.read_bytes() == out_env.read_bytes()
+    """The seed comes from --seed alone, so a run's bytes depend on its command line."""
+
+    @pytest.mark.parametrize("command", ["synth", "mmd"])
+    def test_left_out_seed_is_seed_zero(self, run_cli, tmp_path, command):
+        # sets of two sizes, so mmd's resampling draws from the seed
+        small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
+        run_cli("synth", "--k", 3, "--n", 6, "--seed", 6, "--out", small)
+        run_cli("synth", "--k", 3, "--n", 15, "--seed", 15, "--out", large)
+        out = tmp_path / "out.jsonl"
+        argv = {"synth": ("synth", "--k", 3, "--n", 20, "--out", out),
+                "mmd": ("mmd", small, large, "--reps", 5)}[command]
+
+        def run(*seed):
+            code, stdout, err = run_cli(*argv, *seed)
+            assert code == 0, err
+            report = report_of(stdout)
+            written = out.read_bytes() if command == "synth" else None
+            return report["config"]["seed"], report["result"], written
+
+        left_out, zero, one = run(), run("--seed", 0), run("--seed", 1)
+        assert left_out == zero
+        assert left_out[0] == 0
+        assert one[1:] != zero[1:]
 
     def test_flag_wins_over_env(self, run_cli, tmp_path):
         out_a = tmp_path / "a.jsonl"
@@ -240,22 +254,41 @@ class TestSeedResolution:
         run_cli(*args, "--seed", 1, "--out", out_b)
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_env_seed_is_echoed(self, run_cli, write_jsonl):
-        path = write_jsonl("square.jsonl", SQUARE)
-        code, out, err = run_cli("mmd", path, path, env={"DIVSAT_SEED": "9"})
-        assert code == 0
-        assert report_of(out)["config"]["seed"] == 9
+    def test_saturate_children_ignore_env_seed(self, run_cli, tmp_path):
+        # the embedder child takes no --seed, and inherits the environment
+        written = []
+        for env in ({}, {"DIVSAT_SEED": "5"}):
+            folder = tmp_path / f"run{len(written)}"
+            folder.mkdir()
+            provider = quoted(sys.executable, "-m", "divsat", "synth-provider", "--role",
+                              "provider", "--k", 4, "--state", folder / "p.state")
+            embedder = quoted(sys.executable, "-m", "divsat", "synth-provider", "--role",
+                              "embedder", "--k", 4)
+            out, trace = folder / "out.jsonl", folder / "trace.jsonl"
+            code, _, err = run_cli("saturate", "--init-count", 20, "--provider", provider,
+                                   "--embedder", embedder, "--seed", 1, "--max-iter", 2,
+                                   "--out", out, "--trace", trace, env=env, timeout=300)
+            assert code == 0, err
+            written.append((out.read_bytes(), trace.read_bytes()))
+        assert written[0] == written[1]
 
-    def test_bad_env_seed_is_usage_error(self, run_cli, write_jsonl):
+    @pytest.mark.parametrize("argv, stdin", [
+        (("mmd", "SET", "SET"), None),
+        (("synth-provider", "--role", "embedder", "--k", 2), '{"text": "a"}\n'),
+    ], ids=["mmd", "embedder"])
+    def test_env_seed_is_not_an_error(self, run_cli, write_jsonl, argv, stdin):
         path = write_jsonl("square.jsonl", SQUARE)
-        code, out, err = run_cli("mmd", path, path, env={"DIVSAT_SEED": "many"})
-        assert code == 2
-        assert err.startswith("divsat:")
-        with pytest.raises(ValueError):
-            json.loads(err)
+        argv = [path if word == "SET" else word for word in argv]
+        runs = [run_cli(*argv, stdin=stdin, env=env) for env in ({}, {"DIVSAT_SEED": "many"})]
+        for code, out, err in runs:
+            assert code == 0, err
+        if argv[0] == "synth-provider":
+            assert runs[0][1] == runs[1][1]
+        else:
+            assert report_of(runs[0][1])["result"] == report_of(runs[1][1])["result"]
 
     def test_env_seed_is_not_read_without_seed_flag(self, run_cli, write_jsonl):
-        # diversity is deterministic and takes no --seed, so DIVSAT_SEED is not its concern
+        # diversity is deterministic and takes no --seed
         path = write_jsonl("square.jsonl", SQUARE)
         code, out, err = run_cli("diversity", path, env={"DIVSAT_SEED": "many"})
         assert code == 0
@@ -485,10 +518,11 @@ class TestSynthCommand:
 
 
 # the flags each synth-provider role reads besides --role, --k and --state,
-# with one value each; either role refuses the other's
+# with one value each; either role refuses the other's, even one typed at its
+# default (--seed 0)
 ROLE_FLAGS = {
     "provider": {"--count": "3", "--limit": "5", "--activity": "walking"},
-    "embedder": {"--seed": "1", "--sigma": "0.5", "--mean": "0", "--drift": "0.1"},
+    "embedder": {"--seed": "0", "--sigma": "0.5", "--mean": "0", "--drift": "0.1"},
 }
 
 
@@ -523,10 +557,6 @@ class TestSynthProviderCommand:
         code, out, err = run_cli(*argv, env={"DIVSAT_SEED": "many"})
         assert code == 0, err
         assert out == '{"text": "tok0"}\n'
-        code, out, err = run_cli("synth-provider", "--role", "embedder", "--k", 2,
-                                 stdin='{"text": "a"}\n', env={"DIVSAT_SEED": "many"})
-        assert code == 2
-        assert out == ""
 
     def test_provider_role_emits_wire_lines(self, run_cli):
         code, out, err = run_cli(
@@ -612,6 +642,15 @@ class TestSynthProviderCommand:
         shifted = token_vector("same", spec, offset=np.array([0.5, 0.0]))
         assert json.loads(first)["vector"] == [float(v) for v in base]
         assert json.loads(second)["vector"] == [float(v) for v in shifted]
+
+    def test_embedder_drift_needs_state(self, run_cli):
+        # without a counter every call is the first, so the drift would scale by 0;
+        # stdin that is not UTF-8 would exit 1 had it been read
+        code, out, err = run_cli("synth-provider", "--role", "embedder", "--k", 2,
+                                 "--seed", 2, "--drift", 1, stdin=b"\xff")
+        assert code == 2
+        assert "--drift needs --state" in err
+        assert out == ""
 
     def test_embedder_rejects_overflowing_draw(self, run_cli):
         stdin = "".join(f'{{"text": "tok{i}"}}\n' for i in range(4))
@@ -1621,14 +1660,10 @@ class TestFileDiscipline:
         path = write_jsonl("square.jsonl", SQUARE)
         workdir = tmp_path / "work"
         workdir.mkdir()
-        import os as _os
-        env = dict(_os.environ)
-        from conftest import SRC
-        env["PYTHONPATH"] = str(SRC) + _os.pathsep + env.get("PYTHONPATH", "")
-        env.pop("DIVSAT_SEED", None)
+        from conftest import _child_env
         proc = subprocess.run(
             [sys.executable, "-m", "divsat", "diversity", str(path)],
-            capture_output=True, text=True, cwd=workdir, env=env, timeout=120,
+            capture_output=True, text=True, cwd=workdir, env=_child_env(), timeout=120,
         )
         assert proc.returncode == 0
         assert list(workdir.iterdir()) == []

@@ -88,7 +88,6 @@ CASES = {
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("DIVSAT_SEED", None)
     return env
 
 
