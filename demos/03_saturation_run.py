@@ -10,10 +10,9 @@ distribution keeps moving keeps breaking the window and runs longer.
 """
 
 from divsat import (
-    DriftSpec,
     GaussianSpec,
     SaturationConfig,
-    drifting_provider,
+    SyntheticSource,
     gaussian_set,
     run_saturation,
     stationary_provider,
@@ -46,8 +45,7 @@ show("stationary", trace, final)
 # Drifting source: the mean moves 0.5 along the first axis after every
 # batch. Each batch looks different from the accumulated set, scores jump
 # around, and the window keeps resetting.
-drift = drifting_provider(DriftSpec(GaussianSpec(seed=11, **SPEC),
-                                    drift=(0.5, 0.0, 0.0, 0.0)))
+drift = SyntheticSource(GaussianSpec(seed=11, **SPEC), drift=(0.5, 0.0, 0.0, 0.0))
 final_d, trace_d = run_saturation(initial, drift, drift, cfg)
 print()
 show("drifting", trace_d, final_d)

@@ -85,6 +85,21 @@ def _vector(name: str, values, k: int, error=ValueError) -> tuple[float, ...]:
     raise error(f"{name} must be {k} finite numbers, got {values!r}")
 
 
+def _ids(name: str, values, empty: bool = True) -> tuple:
+    """``values`` as a tuple of record ids: any iterable but a string, which
+    would be read one character at a time; ``empty=False`` also rejects an
+    empty one. Else ValueError naming the argument."""
+    try:
+        if not isinstance(values, (str, bytes)):
+            ids = tuple(values)
+            if ids or empty:
+                return ids
+    except TypeError:  # not iterable
+        pass
+    some = "a" if empty else "a non-empty"
+    raise ValueError(f"{name} must be {some} sequence of ids, got {values!r}")
+
+
 def _series(name: str, values) -> tuple[float, ...]:
     """``values`` as a tuple of floats: a flat sequence of any length whose
     entries are real numbers by the scalar rule (a bool, a string or a nested
@@ -109,8 +124,8 @@ _SUBMODULE = {
             "correlate", "correlation_report", "pearson_p", "pearson_r",
         ),
         "diversity": (
-            "AxisStats", "DiversityImpactReport", "DiversityScore", "axis_stats",
-            "centroid_diversity", "diversity_impact", "diversity_report", "std_diversity",
+            "AxisStats", "DiversityImpactReport", "DiversityScore", "diversity_impact",
+            "diversity_report",
         ),
         "embedset": ("EmbeddingSet", "load_set", "subset", "write_set"),
         "errors": (
@@ -130,7 +145,7 @@ _SUBMODULE = {
         ),
         "kernel": (
             "MEDIAN_HEURISTIC", "KernelConfig", "MmdEstimate", "gaussian_kernel",
-            "median_heuristic", "mmd", "mmd_calculator", "resolve_bandwidth",
+            "median_heuristic", "mmd", "mmd_calculator",
         ),
         "saturation": (
             "BatchProvider", "Embedder", "SaturationConfig", "SaturationTrace",
@@ -138,8 +153,8 @@ _SUBMODULE = {
             "run_saturation", "write_trace",
         ),
         "synth": (
-            "DriftSpec", "GaussianSpec", "SyntheticSource", "drifting_provider",
-            "gaussian_set", "stationary_provider", "token_vector",
+            "GaussianSpec", "SyntheticSource", "gaussian_set", "stationary_provider",
+            "token_vector",
         ),
     }.items()
     for name in names

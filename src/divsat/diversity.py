@@ -55,20 +55,6 @@ class DiversityImpactReport:
     delta_centroid: float
 
 
-def axis_stats(embeddings: EmbeddingSet) -> AxisStats:
-    return diversity_report(embeddings).axis
-
-
-def std_diversity(embeddings: EmbeddingSet) -> float:
-    """Geometric mean of the per-axis standard deviations."""
-    return diversity_report(embeddings).std_metric
-
-
-def centroid_diversity(embeddings: EmbeddingSet) -> float:
-    """Mean squared Euclidean distance of every vector from the set centroid."""
-    return diversity_report(embeddings).centroid_metric
-
-
 def diversity_report(embeddings: EmbeddingSet) -> DiversityScore:
     """Both metrics with the centroid and axis stats, from one pass over the set.
 

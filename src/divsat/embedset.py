@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence, Sized
 
 import numpy as np
 
-from . import _NUMBER_TYPES
+from . import _NUMBER_TYPES, _ids
 from .errors import (
     DimensionMismatch,
     DivsatError,
@@ -104,6 +104,8 @@ class EmbeddingSet:
             raise _not_a_matrix(values) from None
         if ids is None:  # a 0-d input gets one id so the 2-D check reports it
             ids = [f"{id_prefix}{i}" for i in range(len(mat) if mat.ndim else 1)]
+        else:
+            ids = _ids("ids", ids)
         return cls._from_columns(ids, mat, labels)
 
     @property
@@ -240,7 +242,7 @@ def write_set(embeddings: EmbeddingSet, path) -> None:
 
 def subset(embeddings: EmbeddingSet, ids: Iterable[str]) -> EmbeddingSet:
     """Records whose ids are in ``ids``, kept in their original relative order."""
-    wanted = set(ids)
+    wanted = set(_ids("ids", ids))
     missing = wanted.difference(embeddings._index)
     if missing:
         raise UnknownId(f"no record with id {sorted(missing)[0]!r}")

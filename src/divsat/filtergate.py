@@ -15,7 +15,7 @@ import re
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping, Protocol, Sequence, overload
 
-from . import _count, _positive_int
+from . import _count, _ids
 from .errors import (
     CountMismatch,
     DuplicateId,
@@ -135,22 +135,16 @@ _LEADING_NUMBERING = re.compile(r"^\s*\(?\d+[\s.):\]\-]*")
 _FIRST_WORD = re.compile(r"[A-Za-z]+")
 
 
-def parse_filter_response(
-    text: str, expected: int, ids: Sequence[str] | None = None
-) -> list[FilterVerdict]:
-    """Recover ordered yes/no verdicts from a judge reply.
+def parse_filter_response(text: str, ids: Sequence[str]) -> list[FilterVerdict]:
+    """Recover ordered yes/no verdicts from a judge reply, one per id of ``ids``.
 
     A line yields a verdict when its first word, after any leading numbering
     and punctuation, is "yes" or "no" (case-insensitive). A numbered line
     with neither token is an error; other unmatched lines are treated as
-    filler and skipped. The recovered count must equal ``expected``.
-
-    Verdict ids come from ``ids`` when given (judging order), else they are
-    the decimal positions "0" .. "expected-1".
+    filler and skipped. The recovered count must equal ``len(ids)``, and the
+    verdicts take the ids in order.
     """
-    _positive_int("expected", expected)
-    if ids is not None and len(ids) != expected:
-        raise ValueError(f"got {len(ids)} ids for {expected} expected verdicts")
+    ids = _ids("ids", ids, empty=False)
     labels: list[bool] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -165,12 +159,9 @@ def parse_filter_response(
             labels.append(False)
         elif numbering:
             raise UnparseableLine(f"cannot read a yes/no verdict from {raw!r}")
-    if len(labels) != expected:
-        raise CountMismatch(
-            f"expected {expected} verdicts, recovered {len(labels)}"
-        )
-    verdict_ids = list(ids) if ids is not None else [str(i) for i in range(expected)]
-    return [FilterVerdict(id=v, keep=k) for v, k in zip(verdict_ids, labels)]
+    if len(labels) != len(ids):
+        raise CountMismatch(f"expected {len(ids)} verdicts, recovered {len(labels)}")
+    return [FilterVerdict(id=v, keep=k) for v, k in zip(ids, labels)]
 
 
 def _verdict_map(verdicts: Sequence[FilterVerdict]) -> dict[str, bool]:
@@ -300,7 +291,7 @@ def run_filter(
         for attempt in range(retries + 1):
             reply = judge.judge(prompt)
             try:
-                verdicts.extend(parse_filter_response(reply, len(prompt.batch), ids=batch_ids))
+                verdicts.extend(parse_filter_response(reply, batch_ids))
                 break
             except (CountMismatch, UnparseableLine):
                 if attempt == retries:

@@ -80,11 +80,17 @@ class MmdEstimate:
 
 
 def gaussian_kernel(x, y, bandwidth: float) -> float:
-    """exp(-||x - y||^2 / (2 bandwidth^2)); 1.0 exactly when x equals y."""
+    """exp(-||x - y||^2 / (2 bandwidth^2)); 1.0 exactly when x equals y.
+
+    A point with a non-finite entry raises NonFiniteValue, as a set holding
+    one would.
+    """
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
     if xv.shape != yv.shape:
         raise DimensionMismatch(f"points have shapes {xv.shape} and {yv.shape}")
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise NonFiniteValue("points must be finite")
     # a Python float, as mmd_calculator uses: 2 b^2 of a numpy float32 b
     # stays float32, which overflows inside the bandwidth rule's range
     bandwidth = float(_bandwidth("bandwidth", bandwidth))
@@ -261,21 +267,6 @@ def median_heuristic(x_set: EmbeddingSet, y_set: EmbeddingSet) -> float:
     return _Pairs(x_set.vectors, y_set.vectors, True).median()
 
 
-def _median_bandwidth(pairs: _Pairs) -> float:
-    """The median-heuristic bandwidth of ``pairs``: a median the kernel cannot
-    scale distances by raises NonFiniteValue, as one that overflows does."""
-    return _bandwidth("the median-heuristic bandwidth", pairs.median(), NonFiniteValue)
-
-
-def resolve_bandwidth(cfg: KernelConfig, x_set: EmbeddingSet, y_set: EmbeddingSet) -> float:
-    """The bandwidth ``mmd_calculator`` uses for these sets: the configured one, or
-    the median heuristic under the bandwidth rule, so it is valid in a KernelConfig."""
-    if cfg.bandwidth == MEDIAN_HEURISTIC:
-        _same_dimension(x_set, y_set)
-        return _median_bandwidth(_Pairs(x_set.vectors, y_set.vectors, True))
-    return float(cfg.bandwidth)
-
-
 def mmd(
     x_set: EmbeddingSet,
     y_set: EmbeddingSet,
@@ -340,6 +331,8 @@ def mmd_calculator(
     ``resample(seed, r, ...)``, so the estimate is reproducible and the
     repetitions of one call are independent.
     """
+    if not isinstance(cfg, KernelConfig):
+        raise ValueError(f"cfg must be a KernelConfig, got {cfg!r}")
     _positive_int("repetitions", repetitions, InvalidRepetitions)
     _integer("seed", seed)
     _same_dimension(a_set, b_set)
@@ -358,7 +351,12 @@ def mmd_calculator(
         ], dtype=np.float64)
     store = cfg.bandwidth == MEDIAN_HEURISTIC  # the median reads the stored tiles
     pairs = _Pairs(a_set.vectors, b_set.vectors, store)
-    bandwidth = _median_bandwidth(pairs) if store else float(cfg.bandwidth)
+    if store:
+        # a median the kernel cannot scale distances by raises NonFiniteValue,
+        # as one that overflows does
+        bandwidth = _bandwidth("the median-heuristic bandwidth", pairs.median(), NonFiniteValue)
+    else:
+        bandwidth = float(cfg.bandwidth)
     t, q, x = pairs.sums(bandwidth, counts)
     raw = (q + t - 2.0 * x) / (target * target)
     scores = np.where((NEGATIVE_CLAMP <= raw) & (raw < 0.0), 0.0, raw)

@@ -29,6 +29,7 @@ from .errors import (
     DivsatError,
     DuplicateId,
     EmbedderError,
+    NonFiniteValue,
     ProtocolError,
     ProviderError,
 )
@@ -217,7 +218,8 @@ def run_saturation(
             such as a provider returning more items than requested; foreign
             exceptions from in-process objects are wrapped in these),
             ProtocolError, SpawnError, DimensionMismatch for a batch of
-            another dimension, DuplicateId for a batch id already present.
+            another dimension, DuplicateId for a batch id already present,
+            NonFiniteValue for an estimate whose mean or stddev is not finite.
         ValueError: a bootstrap count that is not an integer (a bool or
             float included) or is below 1, raised before the provider is
             called.
@@ -253,6 +255,8 @@ def run_saturation(
             # run's output passed back in), which raises DuplicateId here.
             combined = _merge(current, batch, id_prefix=f"b{iteration}_")
             estimate = estimator(current, combined, cfg, as_uint64(cfg.seed ^ iteration))
+            if not (math.isfinite(estimate.mean) and math.isfinite(estimate.stddev)):
+                raise NonFiniteValue(f"the estimate at iteration {iteration} is not finite")
             step = _advance(steps[-1] if steps else None, estimate, batch.size)
             steps.append(step)
             current = combined
@@ -333,7 +337,8 @@ def write_trace(trace: SaturationTrace, path) -> None:
 
 
 def _write_steps(steps: Sequence[TraceStep], path) -> None:
-    write_lines(path, (json.dumps(step.to_json_dict(), sort_keys=True) for step in steps))
+    write_lines(path, (json.dumps(step.to_json_dict(), sort_keys=True, allow_nan=False)
+                       for step in steps))
 
 
 class _ExternalProvider(External):

@@ -40,17 +40,6 @@ class GaussianSpec:
         return np.array(self.mean, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class DriftSpec:
-    """A Gaussian source whose mean advances by ``drift`` after every batch."""
-
-    base: GaussianSpec
-    drift: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "drift", _vector("drift", self.drift, self.base.k))
-
-
 def gaussian_set(spec: GaussianSpec, n: int) -> EmbeddingSet:
     """n i.i.d. draws from ``spec``'s Gaussian, ids ``g0`` .. ``g{n-1}``: the
     first batch a ``SyntheticSource`` over ``spec`` embeds."""
@@ -97,11 +86,6 @@ class SyntheticSource:
 def stationary_provider(spec: GaussianSpec) -> SyntheticSource:
     """Provider-plus-embedder pair drawing from a fixed Gaussian."""
     return SyntheticSource(spec)
-
-
-def drifting_provider(spec: DriftSpec) -> SyntheticSource:
-    """Provider-plus-embedder pair whose mean moves by ``drift`` per batch."""
-    return SyntheticSource(spec.base, drift=spec.drift)
 
 
 def token_vector(text: str, spec: GaussianSpec, offset: Sequence[float] | None = None) -> np.ndarray:

@@ -19,7 +19,6 @@ import pytest
 
 from divsat import (
     CaptionItem,
-    DriftSpec,
     FilterVerdict,
     GaussianSpec,
     KernelConfig,
@@ -27,10 +26,10 @@ from divsat import (
     PairedSeries,
     SaturationConfig,
     StopReason,
+    SyntheticSource,
     build_filter_prompts,
-    centroid_diversity,
     diversity_impact,
-    drifting_provider,
+    diversity_report,
     evaluate_filter,
     gaussian_set,
     load_set,
@@ -39,7 +38,6 @@ from divsat import (
     pearson_r,
     run_filter,
     run_saturation,
-    std_diversity,
     stationary_provider,
     subset,
 )
@@ -196,8 +194,8 @@ def test_criterion_01_metric_oracle_equivalence(announce):
         rows = values.tolist()
         embeddings = as_set(values)
         for impl, oracle in (
-            (std_diversity(embeddings), brute_std(rows)),
-            (centroid_diversity(embeddings), brute_centroid(rows)),
+            (diversity_report(embeddings).std_metric, brute_std(rows)),
+            (diversity_report(embeddings).centroid_metric, brute_centroid(rows)),
         ):
             rel = abs(impl - oracle) / max(abs(oracle), 1e-300)
             worst = max(worst, rel)
@@ -215,8 +213,8 @@ def test_criterion_01_metric_oracle_equivalence(announce):
 def test_criterion_02_hand_values(announce):
     square = as_set([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
     failures = []
-    m_std = std_diversity(square)
-    m_cent = centroid_diversity(square)
+    m_std = diversity_report(square).std_metric
+    m_cent = diversity_report(square).centroid_metric
     if abs(m_std - 1.0) > 1e-12:
         failures.append(f"std metric {m_std!r} != 1.0")
     if abs(m_cent - 2.0) > 1e-12:
@@ -368,11 +366,9 @@ def test_criterion_06_saturation_behavior(announce):
             GaussianSpec(seed=10_000 + seed, **SOURCE_SPEC)
         )
         _, stat_trace = run_saturation(initial, stationary, stationary, cfg)
-        drifting = drifting_provider(
-            DriftSpec(
-                GaussianSpec(seed=10_000 + seed, **SOURCE_SPEC),
-                drift=(0.5, 0.0, 0.0, 0.0),
-            )
+        drifting = SyntheticSource(
+            GaussianSpec(seed=10_000 + seed, **SOURCE_SPEC),
+            drift=(0.5, 0.0, 0.0, 0.0),
         )
         _, drift_trace = run_saturation(initial, drifting, drifting, cfg)
         if drift_trace.iterations > stat_trace.iterations:

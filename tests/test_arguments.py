@@ -1,8 +1,9 @@
-"""Argument rules: every count, seed, fraction, length, timeout and vector the
-library takes is checked by one rule from ``divsat/__init__.py``, which
-rejects a bool or a non-number with ValueError naming the argument and
-accepts numpy numbers. (``mmd_calculator``'s ``repetitions`` raises
-InvalidRepetitions, tested with the estimator.)"""
+"""Argument rules: every count, seed, fraction, length, timeout, vector and
+sequence of ids the library takes is checked by one rule from
+``divsat/__init__.py``, which rejects a bool or a non-number (a string, for
+ids) with ValueError naming the argument and accepts numpy numbers.
+(``mmd_calculator``'s ``repetitions`` raises InvalidRepetitions, tested with
+the estimator.)"""
 
 import ast
 import sys
@@ -12,9 +13,10 @@ import pytest
 
 from divsat import (
     CaptionItem,
-    DriftSpec,
+    EmbeddingSet,
     GaussianSpec,
     KernelConfig,
+    NonFiniteValue,
     SaturationConfig,
     SyntheticSource,
     external_embedder,
@@ -22,12 +24,14 @@ from divsat import (
     external_provider,
     gaussian_kernel,
     gaussian_set,
+    mmd,
     mmd_calculator,
     parse_filter_response,
     pearson_p,
     run_filter,
     run_saturation,
     stationary_provider,
+    subset,
     token_vector,
 )
 from conftest import SRC
@@ -60,8 +64,8 @@ REJECTED = {
     "KernelConfig bandwidth=1e-200": (lambda: KernelConfig(bandwidth=1e-200), "bandwidth"),
     # a list is no vector entry
     "GaussianSpec nested mean": (lambda: GaussianSpec(k=2, mean=[[1, 2], [3, 4]]), "mean"),
-    "DriftSpec nested drift": (lambda: DriftSpec(GaussianSpec(k=2), drift=[[1, 2], [3, 4]]),
-                               "drift"),
+    "SyntheticSource nested drift": (
+        lambda: SyntheticSource(GaussianSpec(k=2), drift=[[1, 2], [3, 4]]), "drift"),
     "gaussian_set n=True": (lambda: gaussian_set(GaussianSpec(k=2), True), "n"),
     "gaussian_set n=2.5": (lambda: gaussian_set(GaussianSpec(k=2), 2.5), "n"),
     "next_batch count=True": (lambda: stationary_provider(GaussianSpec(k=2)).next_batch(True),
@@ -76,8 +80,16 @@ REJECTED = {
                                          "fixed_batch"),
     "mmd_calculator seed=1.5": (lambda: mmd_calculator(X, Y, seed=1.5), "seed"),
     "mmd_calculator seed=True": (lambda: mmd_calculator(X, Y, seed=True), "seed"),
-    "parse_filter_response expected=True": (lambda: parse_filter_response("1. yes", True),
-                                            "expected"),
+    # a bare bandwidth is not a KernelConfig
+    "mmd_calculator cfg=1.5": (lambda: mmd_calculator(X, Y, 1.5), "cfg"),
+    "mmd cfg=2.0": (lambda: mmd(X, X, 2.0), "cfg"),
+    # a string is not read one character at a time
+    "subset ids='g1'": (lambda: subset(X, "g1"), "ids"),
+    "subset ids=5": (lambda: subset(X, 5), "ids"),
+    "from_array ids='abc'": (lambda: EmbeddingSet.from_array(np.zeros((3, 2)), ids="abc"), "ids"),
+    "parse_filter_response ids='a'": (lambda: parse_filter_response("1. yes", "a"), "ids"),
+    "parse_filter_response ids=[]": (lambda: parse_filter_response("", []), "ids"),
+    "parse_filter_response ids=None": (lambda: parse_filter_response("1. yes", None), "ids"),
     "run_filter retries=True": (lambda: judge_one(True), "retries"),
     "run_filter retries=1.5": (lambda: judge_one(1.5), "retries"),
     "external_provider timeout='5'": (lambda: external_provider(COMMAND, timeout="5"), "timeout"),
@@ -92,7 +104,6 @@ REJECTED = {
 # each vector argument, given a value for k=2: (the call, the argument it names)
 VECTOR_ARGUMENTS = {
     "GaussianSpec mean": (lambda v: GaussianSpec(k=2, mean=v), "mean"),
-    "DriftSpec drift": (lambda v: DriftSpec(GaussianSpec(k=2), drift=v), "drift"),
     "SyntheticSource drift": (lambda v: SyntheticSource(GaussianSpec(k=2), drift=v), "drift"),
     "token_vector offset": (lambda v: token_vector("t", GaussianSpec(k=2), offset=v), "offset"),
 }
@@ -122,6 +133,19 @@ def test_bad_argument_is_a_value_error_naming_it(case):
     call, name = REJECTED[case]
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call()
+
+
+# a point with a non-finite entry: (the call); sets refuse such a vector too
+NON_FINITE = {
+    "gaussian_kernel x=[nan]": lambda: gaussian_kernel([float("nan")], [0.0], 1.0),
+    "gaussian_kernel y=[inf]": lambda: gaussian_kernel([0.0, 1.0], [0.0, float("inf")], 1.0),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_point_is_rejected(case):
+    with pytest.raises(NonFiniteValue, match="^points must be finite"):
+        NON_FINITE[case]()
 
 
 # numpy numbers are numbers: each call runs, and matches its Python twin
@@ -174,7 +198,6 @@ def test_numpy_vectors_are_accepted(dtype):
     want = tuple(float(v) for v in values)
     spec = GaussianSpec(k=3, mean=values)
     assert spec.mean == want and all(type(v) is float for v in spec.mean)
-    assert DriftSpec(spec, drift=values).drift == want
     drifting, plain = SyntheticSource(spec, drift=values), SyntheticSource(spec, drift=want)
     for _ in range(2):
         assert drifting.embed(["a", "b"]) == plain.embed(["a", "b"])

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from divsat import (
-    EmbeddingSet,
-    axis_stats,
-    centroid_diversity,
-    diversity_report,
-    std_diversity,
-)
+from divsat import EmbeddingSet, diversity_report
 
 SQUARE = EmbeddingSet.from_array(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]]))
 
@@ -51,34 +45,38 @@ def as_set(rows):
     return EmbeddingSet.from_array(np.asarray(rows, dtype=np.float64))
 
 
+def metrics(embeddings):
+    """(std metric, centroid metric) of one report."""
+    rep = diversity_report(embeddings)
+    return rep.std_metric, rep.centroid_metric
+
+
 class TestFrozenValues:
     def test_square_axis_stats(self):
-        st_ = axis_stats(SQUARE)
+        st_ = diversity_report(SQUARE).axis
         assert np.allclose(st_.means, [1.0, 1.0])
         assert np.allclose(st_.stddevs, [1.0, 1.0])
 
     def test_square_metrics(self):
-        assert std_diversity(SQUARE) == pytest.approx(1.0, abs=1e-12)
-        assert centroid_diversity(SQUARE) == pytest.approx(2.0, abs=1e-12)
+        assert metrics(SQUARE) == pytest.approx((1.0, 2.0), abs=1e-12)
 
     def test_single_vector(self):
         s = as_set([[3.0, 4.0]])
-        st_ = axis_stats(s)
-        assert np.allclose(st_.means, [3.0, 4.0])
-        assert np.allclose(st_.stddevs, [0.0, 0.0])
-        assert std_diversity(s) == 0.0
-        assert centroid_diversity(s) == 0.0
+        rep = diversity_report(s)
+        assert np.allclose(rep.axis.means, [3.0, 4.0])
+        assert np.allclose(rep.axis.stddevs, [0.0, 0.0])
+        assert (rep.std_metric, rep.centroid_metric) == (0.0, 0.0)
 
     def test_identical_vectors(self):
         s = as_set([[1.0, 2.0]] * 5)
-        assert std_diversity(s) == 0.0
-        assert centroid_diversity(s) == 0.0
+        assert metrics(s) == (0.0, 0.0)
 
     def test_constant_coordinate_zeroes_std_only(self):
         # One flat axis collapses the geometric mean but not the centroid metric.
         s = as_set([[0.0, 5.0], [2.0, 5.0], [4.0, 5.0]])
-        assert std_diversity(s) == 0.0
-        assert centroid_diversity(s) > 0.0
+        std, centroid = metrics(s)
+        assert std == 0.0
+        assert centroid > 0.0
 
     def test_report_bundles(self):
         rep = diversity_report(SQUARE)
@@ -97,11 +95,11 @@ class TestOracleEquivalence:
             rows = (rng.normal(size=(n, k)) * 3.0).tolist()
             s = as_set(rows)
             means, stds = oracle_axis_stats(rows)
-            got = axis_stats(s)
-            assert np.allclose(got.means, means, rtol=1e-12, atol=1e-12)
-            assert np.allclose(got.stddevs, stds, rtol=1e-12, atol=1e-12)
-            assert std_diversity(s) == pytest.approx(oracle_std(rows), rel=1e-9)
-            assert centroid_diversity(s) == pytest.approx(oracle_centroid(rows), rel=1e-9)
+            rep = diversity_report(s)
+            assert np.allclose(rep.axis.means, means, rtol=1e-12, atol=1e-12)
+            assert np.allclose(rep.axis.stddevs, stds, rtol=1e-12, atol=1e-12)
+            assert rep.std_metric == pytest.approx(oracle_std(rows), rel=1e-9)
+            assert rep.centroid_metric == pytest.approx(oracle_centroid(rows), rel=1e-9)
 
 
 vectors = hnp.arrays(
@@ -124,7 +122,7 @@ grid_shifts = st.integers(-20 * 2**10, 20 * 2**10).map(lambda i: i * 2.0**-10)
 
 
 def exact_metrics(arr):
-    """(std_diversity, centroid_diversity) of ``arr``'s exact float values, to 40 digits."""
+    """(std metric, centroid metric) of ``arr``'s exact float values, to 40 digits."""
     rows = [[Fraction(float(v)) for v in row] for row in arr]
     n = len(rows)
     means = [sum(col) / n for col in zip(*rows)]
@@ -142,8 +140,7 @@ class TestProperties:
         s = as_set(arr)
         t = as_set(arr + shift)
         assert np.array_equal(t.vectors - shift, arr)
-        assert std_diversity(t) == pytest.approx(std_diversity(s), rel=1e-9, abs=1e-9)
-        assert centroid_diversity(t) == pytest.approx(centroid_diversity(s), rel=1e-9, abs=1e-9)
+        assert metrics(t) == pytest.approx(metrics(s), rel=1e-9, abs=1e-9)
 
     def test_rounded_translation_matches_exact_oracle(self):
         # A stored falsifying example of the float-grid version of the test
@@ -156,9 +153,7 @@ class TestProperties:
         ])
         shifted = arr + 1.0
         for values in (arr, shifted):
-            std, centroid = exact_metrics(values)
-            assert std_diversity(as_set(values)) == pytest.approx(std, rel=1e-12)
-            assert centroid_diversity(as_set(values)) == pytest.approx(centroid, rel=1e-12)
+            assert metrics(as_set(values)) == pytest.approx(exact_metrics(values), rel=1e-12)
         assert exact_metrics(shifted)[0] != pytest.approx(exact_metrics(arr)[0], rel=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -166,8 +161,8 @@ class TestProperties:
     def test_scaling(self, arr, c):
         s = as_set(arr)
         sc = as_set(arr * c)
-        assert std_diversity(sc) == pytest.approx(abs(c) * std_diversity(s), rel=1e-9, abs=1e-9)
-        assert centroid_diversity(sc) == pytest.approx(c * c * centroid_diversity(s), rel=1e-9, abs=1e-9)
+        std, centroid = metrics(s)
+        assert metrics(sc) == pytest.approx((abs(c) * std, c * c * centroid), rel=1e-9, abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(vectors, st.randoms(use_true_random=False))
@@ -176,8 +171,7 @@ class TestProperties:
         rnd.shuffle(order)
         s = as_set(arr)
         p = as_set(arr[order])
-        assert std_diversity(p) == pytest.approx(std_diversity(s), rel=1e-12, abs=1e-12)
-        assert centroid_diversity(p) == pytest.approx(centroid_diversity(s), rel=1e-12, abs=1e-12)
+        assert metrics(p) == pytest.approx(metrics(s), rel=1e-12, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(vectors, st.floats(0.05, 0.95))
@@ -185,16 +179,16 @@ class TestProperties:
         s = as_set(arr)
         cent = np.mean(arr, axis=0)
         shrunk = as_set(cent + alpha * (arr - cent))
-        assert std_diversity(shrunk) == pytest.approx(alpha * std_diversity(s), rel=1e-9, abs=1e-9)
-        assert centroid_diversity(shrunk) == pytest.approx(
-            alpha * alpha * centroid_diversity(s), rel=1e-9, abs=1e-9
+        std, centroid = metrics(s)
+        assert metrics(shrunk) == pytest.approx(
+            (alpha * std, alpha * alpha * centroid), rel=1e-9, abs=1e-9
         )
 
     def test_zero_iff_identical(self):
         rng = np.random.default_rng(3)
         arr = rng.normal(size=(6, 3))
-        assert centroid_diversity(as_set(arr)) > 0
-        assert centroid_diversity(as_set(np.tile(arr[0], (6, 1)))) == 0.0
+        assert diversity_report(as_set(arr)).centroid_metric > 0
+        assert diversity_report(as_set(np.tile(arr[0], (6, 1)))).centroid_metric == 0.0
 
 
 def test_gaussian_centroid_expectation():
@@ -202,7 +196,8 @@ def test_gaussian_centroid_expectation():
     rng = np.random.default_rng(11)
     k, sigma = 6, 1.5
     arr = rng.normal(scale=sigma, size=(10_000, k))
-    assert centroid_diversity(as_set(arr)) == pytest.approx(k * sigma * sigma, rel=0.05)
+    centroid = diversity_report(as_set(arr)).centroid_metric
+    assert centroid == pytest.approx(k * sigma * sigma, rel=0.05)
 
 
 def test_report_peak_is_one_set_sized_temporary():

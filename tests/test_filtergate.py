@@ -40,6 +40,10 @@ def verdict_list(*keeps, prefix="c"):
     return [FilterVerdict(id=f"{prefix}{i}", keep=k) for i, k in enumerate(keeps)]
 
 
+def ids(n):
+    return [f"c{i}" for i in range(n)]
+
+
 def metrics_from_counts(tp, fp, fn, tn):
     """Build synthetic verdicts+truth realizing given confusion counts."""
     verdicts = []
@@ -84,49 +88,45 @@ class TestPrompts:
 
 class TestParse:
     def test_numbered_mixed_case(self):
-        got = parse_filter_response("1. yes\n2. no\n3. Yes", 3)
+        got = parse_filter_response("1. yes\n2. no\n3. Yes", ids(3))
         assert [v.keep for v in got] == [True, False, True]
 
     def test_prefix_rule(self):
         reply = "\n".join(["yes, this matches the activity"] * 10)
-        got = parse_filter_response(reply, 10)
+        got = parse_filter_response(reply, ids(10))
         assert all(v.keep for v in got)
         assert len(got) == 10
 
     def test_count_mismatch(self):
         reply = "\n".join(f"{i}. yes" for i in range(1, 10))
         with pytest.raises(CountMismatch):
-            parse_filter_response(reply, 10)
+            parse_filter_response(reply, ids(10))
 
     def test_numbered_line_without_token(self):
         with pytest.raises(UnparseableLine):
-            parse_filter_response("1. yes\n2. maybe\n3. no", 3)
+            parse_filter_response("1. yes\n2. maybe\n3. no", ids(3))
 
     def test_filler_lines_skipped(self):
         reply = "Here are my answers:\n1. yes\n2. no\nThanks!"
         with pytest.raises(UnparseableLine):
             # "Thanks!" is fine (unnumbered), but so the count stays 2: expected 2
-            parse_filter_response(reply + "\n3. perhaps", 2)
-        got = parse_filter_response(reply, 2)
+            parse_filter_response(reply + "\n3. perhaps", ids(2))
+        got = parse_filter_response(reply, ids(2))
         assert [v.keep for v in got] == [True, False]
 
     def test_varied_numbering_styles(self):
         reply = "(1) YES\n2) no\n3: yes\n4 - No"
-        got = parse_filter_response(reply, 4)
+        got = parse_filter_response(reply, ids(4))
         assert [v.keep for v in got] == [True, False, True, False]
 
     def test_word_boundary_not_prefix_of_longer_word(self):
         # "yesterday" must not read as "yes"
         with pytest.raises(UnparseableLine):
-            parse_filter_response("1. yesterday\n2. no", 2)
+            parse_filter_response("1. yesterday\n2. no", ids(2))
 
     def test_ids_assigned_in_order(self):
-        got = parse_filter_response("1. yes\n2. no", 2, ids=["a", "b"])
+        got = parse_filter_response("1. yes\n2. no", ["a", "b"])
         assert [(v.id, v.keep) for v in got] == [("a", True), ("b", False)]
-
-    def test_default_positional_ids(self):
-        got = parse_filter_response("yes\nno", 2)
-        assert [v.id for v in got] == ["0", "1"]
 
 
 class TestApply:

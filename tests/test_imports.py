@@ -128,11 +128,13 @@ def test_no_submodule_is_named_after_a_public_name():
 
 
 # the public names as they were when every submodule loaded eagerly, less
-# SaturationState and saturation_step, removed with the one-record growth loop
+# SaturationState and saturation_step, removed with the one-record growth loop,
+# and six that redid another name's work: resolve_bandwidth, axis_stats,
+# std_diversity, centroid_diversity, DriftSpec and drifting_provider
 PUBLIC_NAMES = """
     AxisStats BatchProvider CaptionItem ConfusionMetrics CorrelationReport
     CorrelationResult CountMismatch DegenerateSeries DimensionMismatch
-    DiversityImpactReport DiversityScore DivsatError DriftSpec DuplicateId
+    DiversityImpactReport DiversityScore DivsatError DuplicateId
     EmbedderError Embedder EmbeddingSet EmptyInput EmptySet
     EmptyVector FilterPrompt FilterVerdict GaussianSpec InsufficientSamples
     InvalidRepetitions IoError JudgeError KernelConfig LabelMismatch
@@ -140,14 +142,13 @@ PUBLIC_NAMES = """
     NonFiniteValue PairedSeries ProtocolError ProviderError SaturationConfig
     SaturationTrace SizeMismatch SpawnError StopReason
     SyntheticSource TraceStep UnknownId UnknownVerdictId UnparseableLine
-    UsageError aggregate_r apply_filter axis_stats build_filter_prompts
-    centroid_diversity correlate correlation_report diversity_impact
-    diversity_report drifting_provider errors evaluate_filter external_embedder
+    UsageError aggregate_r apply_filter build_filter_prompts
+    correlate correlation_report diversity_impact
+    diversity_report errors evaluate_filter external_embedder
     external_judge external_provider gaussian_kernel gaussian_set load_captions
     load_set load_truth load_verdicts median_heuristic mmd mmd_calculator
-    parse_filter_response pearson_p pearson_r
-    resolve_bandwidth run_filter run_saturation
-    stationary_provider std_diversity subset token_vector write_set write_trace
+    parse_filter_response pearson_p pearson_r run_filter run_saturation
+    stationary_provider subset token_vector write_set write_trace
     write_verdicts
 """.split()
 

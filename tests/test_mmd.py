@@ -19,7 +19,6 @@ from divsat import (
     median_heuristic,
     mmd,
     mmd_calculator,
-    resolve_bandwidth,
 )
 
 
@@ -112,12 +111,6 @@ class TestMedianHeuristic:
                 median_heuristic(x, x)
             with pytest.raises(NonFiniteValue):
                 mmd(x, x)
-
-    def test_resolve_bandwidth(self):
-        x = as_set([[0.0, 0.0]])
-        y = as_set([[0.0, 2.0]], prefix="y")
-        assert resolve_bandwidth(KernelConfig(bandwidth=0.25), x, y) == 0.25
-        assert resolve_bandwidth(KernelConfig(bandwidth=MEDIAN_HEURISTIC), x, y) == 2.0
 
     def test_kernel_config_validation(self):
         with pytest.raises(ValueError):
@@ -519,9 +512,6 @@ class TestMedianSelection:
         assert 0.0 < median_heuristic(s_set, l_set) < 1e-155
         with pytest.raises(NonFiniteValue, match="median-heuristic bandwidth"):
             mmd_calculator(s_set, l_set, repetitions=3)
-        # resolve_bandwidth refuses it too, so what it returns always makes a KernelConfig
-        with pytest.raises(NonFiniteValue, match="median-heuristic bandwidth"):
-            resolve_bandwidth(KernelConfig(), s_set, l_set)
 
 
 def pinned_estimate(n_s, prefix, bandwidth, normalized):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -12,7 +13,6 @@ import pytest
 from divsat import (
     CaptionItem,
     DimensionMismatch,
-    DriftSpec,
     DuplicateId,
     EmbedderError,
     EmbeddingSet,
@@ -20,14 +20,16 @@ from divsat import (
     KernelConfig,
     MEDIAN_HEURISTIC,
     MmdEstimate,
+    NonFiniteValue,
     ProtocolError,
     ProviderError,
     SaturationConfig,
+    SaturationTrace,
     SpawnError,
     StopReason,
+    SyntheticSource,
     TraceStep,
     build_filter_prompts,
-    drifting_provider,
     external_embedder,
     external_judge,
     external_provider,
@@ -200,6 +202,26 @@ class TestRunScripted:
             )
         assert size == final.size
         assert [r.getMessage() for r in caplog.records if r.name == "divsat.saturation"] == expected
+
+    @pytest.mark.parametrize("bad", [(float("nan"), 0.1), (0.5, float("inf"))],
+                             ids=["nan-mean", "inf-stddev"])
+    def test_non_finite_estimate_ends_the_run(self, bad, tmp_path):
+        initial = gaussian_set(GaussianSpec(k=2, seed=13), 10)
+        src = stationary_provider(GaussianSpec(k=2, seed=14))
+        cfg = SaturationConfig(early_stop=1, seed=0, max_iterations=5)
+        script = [(0.5, 0.1), bad, (0.5, 0.1)]
+        with pytest.raises(NonFiniteValue, match="at iteration 2 ") as ei:
+            run_saturation(initial, src, src, cfg, mmd_fn=self.scripted_fn(script))
+        assert [step.iteration for step in ei.value.trace_steps] == [1]
+        assert ei.value.partial_set.size == initial.size + 1
+        # the steps kept are finite, so they write as JSON
+        path = tmp_path / "trace.jsonl"
+        write_trace(SaturationTrace(ei.value.trace_steps, StopReason.SATURATED), path)
+        assert json.loads(path.read_text())["mmd_mean"] == 0.5
+        # a NaN is not JSON, so write_trace refuses a step holding one
+        nan_step = dataclasses.replace(ei.value.trace_steps[0], range_max=float("nan"))
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_trace(SaturationTrace((nan_step,), StopReason.SATURATED), path)
 
     def test_saturated_iff_final_streak(self):
         initial = gaussian_set(GaussianSpec(k=2, seed=5), 10)
@@ -461,9 +483,8 @@ class TestRunSources:
             cfg = SaturationConfig(seed=seed, perc=0.2, max_iterations=30, mmd_repetitions=16)
             stat = stationary_provider(GaussianSpec(k=4, sigma=0.15, seed=10_000 + seed))
             _, ts = run_saturation(init, stat, stat, cfg)
-            drft = drifting_provider(
-                DriftSpec(GaussianSpec(k=4, sigma=0.15, seed=10_000 + seed), drift=(0.5, 0.0, 0.0, 0.0))
-            )
+            drft = SyntheticSource(GaussianSpec(k=4, sigma=0.15, seed=10_000 + seed),
+                                   drift=(0.5, 0.0, 0.0, 0.0))
             _, td = run_saturation(init, drft, drft, cfg)
             if td.iterations > ts.iterations:
                 wins += 1

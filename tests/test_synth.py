@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from divsat import (
-    DriftSpec,
     GaussianSpec,
     NonFiniteValue,
     SyntheticSource,
-    centroid_diversity,
-    drifting_provider,
+    diversity_report,
     gaussian_set,
     stationary_provider,
     token_vector,
@@ -43,7 +41,7 @@ class TestGaussianSet:
     def test_centroid_diversity_expectation(self):
         spec = GaussianSpec(k=5, sigma=0.8, seed=7)
         s = gaussian_set(spec, 10_000)
-        assert centroid_diversity(s) == pytest.approx(5 * 0.8 * 0.8, rel=0.05)
+        assert diversity_report(s).centroid_metric == pytest.approx(5 * 0.8 * 0.8, rel=0.05)
 
     def test_sigma_validated(self):
         with pytest.raises(ValueError):
@@ -87,8 +85,6 @@ class TestProviders:
         for drift in ((float("nan"), 0.0), (0.0, float("inf"))):
             message = f"^drift must be 2 finite numbers, got {re.escape(repr(drift))}$"
             with pytest.raises(ValueError, match=message):
-                DriftSpec(GaussianSpec(k=2), drift)
-            with pytest.raises(ValueError, match=message):
                 SyntheticSource(GaussianSpec(k=2), drift)
         with pytest.raises(ValueError,
                            match=r"^drift must be 2 finite numbers, got \(0.0, 0.0, 0.0\)$"):
@@ -97,7 +93,7 @@ class TestProviders:
     def test_drift_zero_reduces_to_stationary(self):
         spec = GaussianSpec(k=3, sigma=0.7, seed=21)
         stat = stationary_provider(spec)
-        drft = drifting_provider(DriftSpec(base=spec, drift=(0.0, 0.0, 0.0)))
+        drft = SyntheticSource(spec, drift=(0.0, 0.0, 0.0))
         for _ in range(3):
             bs = stat.next_batch(5)
             bd = drft.next_batch(5)
@@ -106,7 +102,7 @@ class TestProviders:
 
     def test_batch_means_advance_by_drift(self):
         drift = (0.5, -0.25)
-        drft = drifting_provider(DriftSpec(base=GaussianSpec(k=2, sigma=0.05, seed=8), drift=drift))
+        drft = SyntheticSource(GaussianSpec(k=2, sigma=0.05, seed=8), drift=drift)
         means = []
         for _ in range(4):
             emb = drft.embed(drft.next_batch(2000))
@@ -115,7 +111,7 @@ class TestProviders:
         assert np.allclose(steps, np.tile(drift, (3, 1)), atol=0.01)
 
     def test_negative_drift_symmetric(self):
-        down = drifting_provider(DriftSpec(base=GaussianSpec(k=1, sigma=0.01, seed=2), drift=(-1.0,)))
+        down = SyntheticSource(GaussianSpec(k=1, sigma=0.01, seed=2), drift=(-1.0,))
         m0 = down.embed(down.next_batch(500)).vectors.mean()
         down.embed(down.next_batch(500))
         m2 = down.embed(down.next_batch(500)).vectors.mean()
@@ -123,7 +119,7 @@ class TestProviders:
 
     def test_drift_dimension_validated(self):
         with pytest.raises(ValueError):
-            DriftSpec(base=GaussianSpec(k=3, seed=0), drift=(1.0,))
+            SyntheticSource(GaussianSpec(k=3, seed=0), drift=(1.0,))
 
     def test_unique_ids_across_batches(self):
         src = stationary_provider(GaussianSpec(k=2, seed=11))
