@@ -104,6 +104,8 @@ REJECTED = {
 # each vector argument, given a value for k=2: (the call, the argument it names)
 VECTOR_ARGUMENTS = {
     "GaussianSpec mean": (lambda v: GaussianSpec(k=2, mean=v), "mean"),
+    # drift passed positionally, the call form of the former DriftSpec(base, drift)
+    "DriftSpec drift": (lambda v: SyntheticSource(GaussianSpec(k=2), v), "drift"),
     "SyntheticSource drift": (lambda v: SyntheticSource(GaussianSpec(k=2), drift=v), "drift"),
     "token_vector offset": (lambda v: token_vector("t", GaussianSpec(k=2), offset=v), "offset"),
 }
