@@ -2,7 +2,8 @@
 JSON Lines helpers they share with the file loaders.
 
 Every external command (provider, embedder, judge) runs as a ``_Child``
-with one lifecycle: launch, feed, discard; see ``External``.
+with one lifecycle: launch, feed, discard; see ``External``. The embedder
+and the judge launch each call's child one call ahead; see ``Ahead``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import shlex
 import signal
 import subprocess
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import _seconds
 from .errors import DivsatError, IoError, MalformedLine, ProtocolError, SpawnError
@@ -128,6 +129,37 @@ class External:
     def _launch(self, *extra_args: str) -> _Child:
         """Start the command with ``extra_args`` appended, before its input is ready."""
         return _Child([*self._argv, *extra_args], self.failure, self._timeout)
+
+
+class Ahead:
+    """The children of one command's successive calls, each launched one call ahead.
+
+    ``next`` discards the previous call's child, takes the spare the call
+    before it launched (or launches one), then, if ``ahead`` says another
+    call may follow, launches that call's child as the new spare, so its
+    start-up overlaps whatever the caller does before it feeds that call.
+    At most two children are alive at once: this call's and the spare.
+    ``close`` discards both; the spare is killed unread with its process
+    group, and reaped.
+    """
+
+    def __init__(self, command: External):
+        self._command = command
+        self._children: list[_Child] = []  # this call's, then the spare
+
+    def next(self, ahead: bool) -> Callable[[str | None], str]:
+        """This call's ``finish``: it feeds the call's input and returns the stdout."""
+        if self._children:
+            self._children.pop(0).discard()
+        if not self._children:
+            self._children.append(self._command._launch())
+        if ahead:
+            self._children.append(self._command._launch())
+        return self._children[0].finish
+
+    def close(self) -> None:
+        for child in self._children:
+            child.discard()
 
 
 class _Child:

@@ -41,8 +41,13 @@ if TYPE_CHECKING:
 
 # Each handler imports the divsat modules it runs, and the standard modules
 # only some handlers use (dataclasses), so a process pays only for its
-# subcommand: --version, usage errors, filter run and eval and the
+# subcommand: --version, usage errors, filter run and eval, correlate and the
 # synth-provider provider role start without numpy.
+
+# the subcommands whose handlers load numpy, with the synth-provider embedder role
+_NUMPY_COMMANDS = frozenset({"diversity", "impact", "mmd", "saturate", "synth"})
+# OpenBLAS, MKL and OpenMP size their thread pools from these as numpy loads
+_BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _checked(cast, rule):
@@ -616,7 +621,36 @@ def emit_report(command: str, config: dict, result: dict, duration_s: float,
     return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
+def _load_numpy_on_one_blas_thread() -> None:
+    """Import numpy with one BLAS thread, then put the caller's settings back.
+
+    divsat calls no BLAS routine, so a second BLAS thread costs start-up time
+    and CPU and computes nothing. The pools are sized once, as numpy loads;
+    the caller's values, set or unset, are back in ``os.environ`` before any
+    handler runs, so the commands a handler starts inherit them unchanged.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    try:
+        import numpy  # noqa: F401
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
 def dispatch(argv: list[str] | None = None) -> int:
+    """Run one command line in this process and return its exit code.
+
+    numpy loads with the BLAS threads the calling program set up; only a
+    process started as ``divsat`` (see ``main``) holds them to one.
+    """
+    return _dispatch(argv, own_process=False)
+
+
+def _dispatch(argv: list[str] | None, own_process: bool) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -631,6 +665,9 @@ def dispatch(argv: list[str] | None = None) -> int:
             logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                                 format="%(name)s: %(message)s")
         start = time.perf_counter()
+        if own_process and (args.command in _NUMPY_COMMANDS
+                            or getattr(args, "role", None) == "embedder"):
+            _load_numpy_on_one_blas_thread()
         result = args.handler(args)
         duration = time.perf_counter() - start
         if result is None:
@@ -671,6 +708,9 @@ def _reader_gone(exc: BrokenPipeError) -> None:
 def main() -> None:
     """Run ``dispatch``, then end the process as soon as its output is flushed.
 
+    The subcommands that load numpy load it on one BLAS thread first; see
+    ``_load_numpy_on_one_blas_thread``.
+
     ``os._exit`` skips interpreter teardown, tens of milliseconds once numpy
     is imported; every file divsat writes is already closed by a ``with``.
     A write or flush into a pipe whose reader is gone exits 1 with an
@@ -679,7 +719,7 @@ def main() -> None:
     always has.
     """
     try:
-        code = dispatch()
+        code = _dispatch(None, own_process=True)
     except BrokenPipeError as exc:
         _reader_gone(exc)
     try:

@@ -241,12 +241,18 @@ def write_set(embeddings: EmbeddingSet, path) -> None:
 
 
 def subset(embeddings: EmbeddingSet, ids: Iterable[str]) -> EmbeddingSet:
-    """Records whose ids are in ``ids``, kept in their original relative order."""
-    wanted = set(_ids("ids", ids))
-    missing = wanted.difference(embeddings._index)
+    """Records whose ids are in ``ids``, kept in their original relative order.
+
+    Every id must be a string, as every record id is; else ValueError.
+    """
+    wanted = _ids("ids", ids)
+    for record_id in wanted:
+        if not isinstance(record_id, str):
+            raise ValueError(f"ids must be string record ids, got {record_id!r}")
+    missing = set(wanted).difference(embeddings._index)
     if missing:
         raise UnknownId(f"no record with id {sorted(missing)[0]!r}")
-    rows = sorted(embeddings._index[i] for i in wanted)
+    rows = sorted({embeddings._index[i] for i in wanted})
     kept_ids, labels, metas = (
         [column[r] for r in rows]
         for column in (embeddings._ids, embeddings._labels, embeddings._metas)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Protocol, Sequence, overload
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Protocol, Sequence, overload
 
 from . import _count, _ids
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     UnknownVerdictId,
     UnparseableLine,
 )
-from ._proc import External, json_objects, read_lines, write_lines
+from ._proc import Ahead, External, json_objects, read_lines, write_lines
 
 if TYPE_CHECKING:
     from .embedset import EmbeddingSet
@@ -282,20 +282,34 @@ def run_filter(
 
     A batch whose reply cannot be aligned (wrong count or an unreadable
     numbered line) is re-queried up to ``retries`` more times before the
-    parse error propagates.
+    parse error propagates. An external judge runs one child per query,
+    each launched a prompt ahead: the next query's child starts as this
+    query's child is taken, before this prompt is written, unless this is
+    the last prompt. So at most two children are alive at once, a retry
+    takes the child started ahead, and a child that gets no prompt (a query
+    failed, or the run was interrupted) is killed unread and reaped.
     """
     _count("retries", retries)
+    prompts = build_filter_prompts(activity, captions)
+    children = Ahead(judge) if isinstance(judge, _ExternalJudge) else None
     verdicts: list[FilterVerdict] = []
-    for prompt in build_filter_prompts(activity, captions):
-        batch_ids = [item.id for item in prompt.batch]
-        for attempt in range(retries + 1):
-            reply = judge.judge(prompt)
-            try:
-                verdicts.extend(parse_filter_response(reply, batch_ids))
-                break
-            except (CountMismatch, UnparseableLine):
-                if attempt == retries:
-                    raise
+    try:
+        for number, prompt in enumerate(prompts, start=1):
+            batch_ids = [item.id for item in prompt.batch]
+            for attempt in range(retries + 1):
+                if children is None:
+                    reply = judge.judge(prompt)
+                else:
+                    reply = _ask(children.next(ahead=number < len(prompts)), prompt)
+                try:
+                    verdicts.extend(parse_filter_response(reply, batch_ids))
+                    break
+                except (CountMismatch, UnparseableLine):
+                    if attempt == retries:
+                        raise
+    finally:
+        if children is not None:
+            children.close()
     return verdicts
 
 
@@ -350,14 +364,26 @@ class _ExternalJudge(External):
     failure = JudgeError
 
     def judge(self, prompt: FilterPrompt) -> str:
-        payload = {
-            "system_message": prompt.system_message,
-            "user_message": prompt.user_message,
-            "captions": [asdict(item) for item in prompt.batch],
-        }
-        return self._run(input_text=json.dumps(payload))
+        return _ask(lambda text: self._run(input_text=text), prompt)
+
+
+def _ask(finish: Callable[[str], str], prompt: FilterPrompt) -> str:
+    # One prompt through a judge child: ``finish`` writes the prompt JSON and
+    # returns the child's stdout, the raw reply.
+    payload = {
+        "system_message": prompt.system_message,
+        "user_message": prompt.user_message,
+        "captions": [asdict(item) for item in prompt.batch],
+    }
+    return finish(json.dumps(payload))
 
 
 def external_judge(command: Sequence[str] | str, timeout: float = 300.0) -> Judge:
-    """Wrap a command as a judge: prompt JSON on stdin, raw reply on stdout."""
+    """Wrap a command as a judge: prompt JSON on stdin, raw reply on stdout.
+
+    ``run_filter`` starts each prompt's command one prompt ahead, before the
+    prompt before it is written, so at most two run at once; one that gets
+    no prompt is killed unread with its process group. The timeout counts
+    from when the prompt is written.
+    """
     return _ExternalJudge(command, timeout)

@@ -94,9 +94,12 @@ def gaussian_kernel(x, y, bandwidth: float) -> float:
     # a Python float, as mmd_calculator uses: 2 b^2 of a numpy float32 b
     # stays float32, which overflows inside the bandwidth rule's range
     bandwidth = float(_bandwidth("bandwidth", bandwidth))
-    # summed in coordinate order, like every distance in this module
+    # summed in coordinate order, like every distance in this module; a
+    # difference past float range is inf, so the pair scores 0, as in _sqdist
+    with np.errstate(over="ignore"):
+        deltas = (xv - yv).ravel().tolist()
     d2 = 0.0
-    for delta in (xv - yv).ravel().tolist():
+    for delta in deltas:
         d2 += delta * delta
     return float(np.exp(-d2 / (2.0 * bandwidth * bandwidth)))
 

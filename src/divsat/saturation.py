@@ -34,7 +34,7 @@ from .errors import (
     ProviderError,
 )
 from .kernel import KernelConfig, MmdEstimate, mmd_calculator
-from ._proc import External, _Child, json_objects, split_lines, write_lines
+from ._proc import Ahead, External, json_objects, split_lines, write_lines
 from .rng import as_uint64
 
 log = logging.getLogger(__name__)
@@ -228,14 +228,14 @@ def run_saturation(
     steps: list[TraceStep] = []
     current: EmbeddingSet | None = None
     reason = StopReason.SATURATED
-    embeds = _Embeds(embedder)
+    children = Ahead(embedder) if isinstance(embedder, _ExternalEmbedder) else None
     try:
         if isinstance(initial, EmbeddingSet):
             current, exhausted = initial, False
         else:
             _positive_int("bootstrap size", initial)
-            current, exhausted = _batch(provider, embeds.next(ahead=True), int(initial),
-                                        context, "during bootstrap")
+            embed = _embed_call(embedder, children, True)
+            current, exhausted = _batch(provider, embed, int(initial), context, "during bootstrap")
             if current is None:
                 raise ProviderError("provider produced no items during bootstrap")
         start_size = current.size
@@ -246,8 +246,8 @@ def run_saturation(
                 break
             base = start_size if cfg.fixed_batch else current.size
             count = max(1, math.ceil(cfg.perc * base))
-            batch, exhausted = _batch(provider, embeds.next(ahead=iteration < cfg.max_iterations),
-                                      count, context, f"at iteration {iteration}")
+            embed = _embed_call(embedder, children, iteration < cfg.max_iterations)
+            batch, exhausted = _batch(provider, embed, count, context, f"at iteration {iteration}")
             if batch is None:
                 break
             # Batch ids are prefixed with the iteration so batches never collide
@@ -271,7 +271,8 @@ def run_saturation(
         exc.partial_set = current
         raise
     finally:
-        embeds.close()
+        if children is not None:
+            children.close()
     if exhausted:
         reason = StopReason.PROVIDER_EXHAUSTED
     return current, SaturationTrace(steps=tuple(steps), reason=reason)
@@ -280,37 +281,13 @@ def run_saturation(
 _EmbedCall = Callable[[Sequence[str]], EmbeddingSet]
 
 
-class _Embeds:
-    """The embed call for each batch of a run, handed out in batch order.
-
-    An in-process embedder's ``embed`` serves every batch. An external
-    embedder gets one child per batch, launched a batch ahead: ``next``
-    discards the previous batch's child, takes the spare the call before it
-    launched (or launches one), then, if ``ahead`` says another batch may
-    follow, launches that batch's child before this batch's provider call,
-    so its start-up overlaps the whole iteration. At most two children are
-    alive at once: this batch's and the spare. ``close`` discards both; the
-    spare is killed unread with its process group, and reaped.
-    """
-
-    def __init__(self, embedder: Embedder):
-        self._embedder = embedder
-        self._children: list[_Child] = []  # this batch's, then the spare
-
-    def close(self) -> None:
-        for child in self._children:
-            child.discard()
-
-    def next(self, ahead: bool) -> _EmbedCall:
-        if not isinstance(self._embedder, _ExternalEmbedder):
-            return self._embedder.embed
-        if self._children:
-            self._children.pop(0).discard()
-        if not self._children:
-            self._children.append(self._embedder._launch())
-        if ahead:
-            self._children.append(self._embedder._launch())
-        return functools.partial(_embed, self._children[0].finish)
+def _embed_call(embedder: Embedder, children: Ahead | None, ahead: bool) -> _EmbedCall:
+    # The next batch's embed call: an in-process embedder's ``embed``, or the
+    # external embedder's next child (see Ahead), called before the batch's
+    # provider call so that the child for the batch after it starts first.
+    if children is None:
+        return embedder.embed
+    return functools.partial(_embed, children.next(ahead))
 
 
 def _batch(provider: BatchProvider, embed: _EmbedCall, count: int,

@@ -86,6 +86,9 @@ REJECTED = {
     # a string is not read one character at a time
     "subset ids='g1'": (lambda: subset(X, "g1"), "ids"),
     "subset ids=5": (lambda: subset(X, 5), "ids"),
+    # record ids are strings: a list is unhashable, and an int sorts against no str
+    "subset ids=[['0']]": (lambda: subset(X, [["0"]]), "ids"),
+    "subset ids=[0, 'x']": (lambda: subset(X, [0, "x"]), "ids"),
     "from_array ids='abc'": (lambda: EmbeddingSet.from_array(np.zeros((3, 2)), ids="abc"), "ids"),
     "parse_filter_response ids='a'": (lambda: parse_filter_response("1. yes", "a"), "ids"),
     "parse_filter_response ids=[]": (lambda: parse_filter_response("", []), "ids"),

@@ -8,6 +8,7 @@ object on stderr for domain failures, 2 for usage problems.
 import argparse
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -26,6 +27,7 @@ from divsat import (
     mmd_calculator,
     write_set,
 )
+from conftest import _child_env
 from divsat.cli import build_parser
 from divsat.synth import GaussianSpec, gaussian_set, token_vector
 
@@ -1667,3 +1669,61 @@ class TestFileDiscipline:
         )
         assert proc.returncode == 0
         assert list(workdir.iterdir()) == []
+
+
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Appends the BLAS thread variables it was started with to RECORD, one JSON
+# object per line, then runs the rest of its command line in its place.
+ENV_RECORDER = """
+import json, os, sys
+names = {names!r}
+with open({record!r}, "a") as fh:
+    fh.write(json.dumps({{name: os.environ.get(name) for name in names}}) + "\\n")
+os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
+"""
+
+
+class TestChildEnvironment:
+    @pytest.mark.parametrize("threads", ["3", None])
+    def test_external_commands_get_the_callers_blas_settings(
+        self, tmp_path, stub_script, write_jsonl, threads
+    ):
+        # the CLI loads numpy on one BLAS thread, and gives the caller's
+        # settings, set or unset, back to the commands it starts
+        record = tmp_path / "record.jsonl"
+        recorder = stub_script(ENV_RECORDER.format(names=BLAS_THREADS, record=str(record)))
+        env = _child_env()
+        for name in BLAS_THREADS:
+            env.pop(name, None)
+            if threads is not None:
+                env[name] = threads
+        synth = [*recorder, "-m", "divsat", "synth-provider", "--k", "2"]
+        _, judge_script = stub_script(
+            """\
+            import json, sys
+            prompt = json.load(sys.stdin)
+            for i, _ in enumerate(prompt["captions"], start=1):
+                print(f"{i}. yes")
+            """
+        )
+        judge = [*recorder, judge_script]
+        captions = write_jsonl("captions.jsonl", [
+            {"id": f"c{i}", "caption": f"person walking {i}", "activity": "walking"}
+            for i in range(12)
+        ])
+        for args in (
+            ["saturate", "--init-count", "4", "--max-iter", "2",
+             "--provider", shlex.join([*synth, "--role", "provider"]),
+             "--embedder", shlex.join([*synth, "--role", "embedder"]),
+             "--out", str(tmp_path / "final.jsonl")],
+            ["filter", "run", "--activity", "walking", "--captions", str(captions),
+             "--judge", shlex.join(judge), "--out", str(tmp_path / "verdicts.jsonl")],
+        ):
+            proc = subprocess.run([sys.executable, "-m", "divsat", *args], capture_output=True,
+                                  text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        rows = [json.loads(line) for line in record.read_text().splitlines()]
+        # three provider calls and three embedder batches, then two prompts
+        assert len(rows) == 3 + 3 + 2
+        assert all(row == dict.fromkeys(BLAS_THREADS, threads) for row in rows)

@@ -274,3 +274,42 @@ def test_report_holds_no_set_sized_temporary():
         tracemalloc.stop()
     # one block of 1024 rows plus the n row sums
     assert peak < 0.1 * n * k * 8
+
+
+def test_report_and_impact_do_not_depend_on_blas_threads():
+    # the CLI loads numpy on one BLAS thread, so only a library caller's
+    # thread count can reach these; 3000 x 64 is past where a BLAS product
+    # would sum in a thread-dependent order
+    import subprocess
+    import sys
+    import textwrap
+
+    from conftest import _child_env
+
+    script = textwrap.dedent("""\
+        import numpy as np
+        from divsat import EmbeddingSet, diversity_impact, diversity_report
+
+        def bits(score):
+            values = [score.std_metric, score.centroid_metric, *score.centroid,
+                      *score.axis.means, *score.axis.stddevs]
+            return [float(v).hex() for v in values]
+
+        values = np.random.default_rng(6).normal(size=(3000, 64))
+        before = EmbeddingSet.from_array(values)
+        after = EmbeddingSet.from_array(values[::3], id_prefix="a")
+        impact = diversity_impact(before, after)
+        print(bits(diversity_report(after)))
+        print(bits(impact.before), bits(impact.after))
+        print(float(impact.delta_std).hex(), float(impact.delta_centroid).hex())
+        """)
+    outputs = []
+    for threads in ("1", "4"):
+        env = _child_env({name: threads for name in
+                          ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 3

@@ -1,10 +1,17 @@
+import gc
 import json
+import os
+import signal
+import subprocess
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divsat import _proc, filtergate
 from divsat import (
     CaptionItem,
     CountMismatch,
@@ -313,12 +320,141 @@ class TestExternalJudge:
         got = run_filter("walking", captions(4), external_judge(argv))
         assert [v.keep for v in got] == [True, False, True, False]
 
-    def test_timeout_kills_what_the_command_left_running(self, orphans):
-        # the wrapper exits at once, but its background sleep holds stdout open
+    @pytest.mark.parametrize("n", [1, 11])
+    def test_timeout_kills_what_the_command_left_running(self, orphans, n):
+        # the wrapper exits at once, but its background sleep holds stdout open;
+        # with two prompts, the child started ahead for the second is never fed
         judge = external_judge(orphans.command("echo 1. yes"), timeout=1.0)
         with pytest.raises(JudgeError, match=r"timed out after 1\.0s"):
-            run_filter("walking", captions(1), judge)
+            run_filter("walking", captions(n), judge)
+        assert len(orphans.pids()) == (n + 9) // 10
         orphans.assert_ended()
+
+
+# The judge appends its pid to FED once its prompt has arrived; its call
+# number FAIL_AT then runs FAILURE instead of answering.
+COUNTING_JUDGE = """
+import json, os, sys
+prompt = json.load(sys.stdin)
+with open({fed!r}, "a") as fh:
+    fh.write(str(os.getpid()) + "\\n")
+with open({fed!r}) as fh:
+    if len(fh.read().split()) == {fail_at}:
+        {failure}
+for i, _ in enumerate(prompt["captions"], start=1):
+    print(f"{{i}}. yes")
+"""
+
+FAILURES = {
+    "exit": ('sys.exit("model crashed")', JudgeError, 2),
+    # with retries=0 an unreadable reply ends the run
+    "unparseable": ('print("1. maybe"); sys.exit()', UnparseableLine, 0),
+    "interrupt": ("pass", KeyboardInterrupt, 2),
+}
+
+
+class TestJudgeLaunchAhead:
+    """An external judge's child for the next query starts before this query's
+    prompt is written."""
+
+    @pytest.fixture
+    def children(self, monkeypatch):
+        """``procs``: every judge child, in launch order; ``events``: ("launch" |
+        "feed" | "kill", child number) in the order they happened, "kill" for a
+        child ended before it exited."""
+        launched, events, numbers = [], [], {}
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                launched.append(self)
+                numbers[self.pid] = len(launched)
+                events.append(("launch", len(launched)))
+
+        def recording(method, name):
+            def record(self, *args):
+                if name == "feed" or self._proc.returncode is None:
+                    events.append((name, numbers[self._proc.pid]))
+                return method(self, *args)
+            return record
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        monkeypatch.setattr(_proc._Child, "finish", recording(_proc._Child.finish, "feed"))
+        monkeypatch.setattr(_proc._Child, "discard", recording(_proc._Child.discard, "kill"))
+        return SimpleNamespace(procs=launched, events=events)
+
+    def judge(self, stub_script, tmp_path, fail_at=0, failure="pass"):
+        fed = str(tmp_path / "fed")
+        return external_judge(stub_script(COUNTING_JUDGE.format(
+            fed=fed, fail_at=fail_at, failure=failure)))
+
+    @staticmethod
+    def fed(tmp_path):
+        path = tmp_path / "fed"
+        return [int(pid) for pid in path.read_text().split()] if path.exists() else []
+
+    def test_next_child_starts_before_the_prompt_is_written(self, stub_script, tmp_path, children):
+        got = run_filter("walking", captions(25), self.judge(stub_script, tmp_path))
+        assert [v.id for v in got] == ids(25) and all(v.keep for v in got)
+        # three prompts: none is started ahead of the last, so at most two
+        # children live at once, and each is fed in launch order
+        assert children.events == [("launch", 1), ("launch", 2), ("feed", 1),
+                                   ("launch", 3), ("feed", 2), ("feed", 3)]
+        assert self.fed(tmp_path) == [proc.pid for proc in children.procs]
+        assert all(proc.returncode == 0 for proc in children.procs)
+
+    def test_retry_takes_the_child_started_ahead(self, stub_script, tmp_path, children):
+        judge = self.judge(stub_script, tmp_path, fail_at=1, failure=FAILURES["unparseable"][0])
+        got = run_filter("walking", captions(11), judge, retries=1)
+        assert [v.id for v in got] == ids(11)
+        # child 2, started ahead for the next query, answers prompt 1 again
+        assert children.events == [("launch", 1), ("launch", 2), ("feed", 1),
+                                   ("launch", 3), ("feed", 2), ("feed", 3)]
+        assert self.fed(tmp_path) == [proc.pid for proc in children.procs]
+
+    def test_retry_of_the_last_prompt_starts_its_child_then(self, stub_script, tmp_path, children):
+        judge = self.judge(stub_script, tmp_path, fail_at=1, failure=FAILURES["unparseable"][0])
+        got = run_filter("walking", captions(3), judge, retries=1)
+        assert [v.keep for v in got] == [True] * 3
+        assert children.events == [("launch", 1), ("feed", 1), ("launch", 2), ("feed", 2)]
+
+    @pytest.mark.parametrize("failure", FAILURES)
+    def test_failure_at_a_prompt_reaps_both_children(
+        self, stub_script, tmp_path, children, monkeypatch, failure
+    ):
+        # prompt 2 of 3 fails while the child started ahead for prompt 3 runs
+        command, error, retries = FAILURES[failure]
+        judge = self.judge(stub_script, tmp_path, fail_at=2, failure=command)
+        if failure == "interrupt":
+            parse = filtergate.parse_filter_response
+            replies = []
+
+            def interrupted(text, batch_ids):
+                replies.append(text)
+                if len(replies) == 2:
+                    raise KeyboardInterrupt
+                return parse(text, batch_ids)
+
+            monkeypatch.setattr(filtergate, "parse_filter_response", interrupted)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error):
+                run_filter("walking", captions(25), judge, retries=retries)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        # the third child was never fed: it was killed with its group and reaped
+        assert children.events == [("launch", 1), ("launch", 2), ("feed", 1),
+                                   ("launch", 3), ("feed", 2), ("kill", 3)]
+        assert self.fed(tmp_path) == [proc.pid for proc in children.procs[:2]]
+        assert children.procs[2].returncode == -signal.SIGKILL
+        for proc in children.procs:
+            with pytest.raises(ProcessLookupError):
+                os.kill(proc.pid, 0)
+
+    def test_in_process_judge_is_called_once_per_query(self, children):
+        judge = TestRunFilter.ScriptedJudge(["1. no\n2. yes"])
+        assert [v.keep for v in run_filter("walking", captions(2), judge)] == [False, True]
+        assert children.procs == []
 
 
 class TestIo:

@@ -4,6 +4,8 @@ scipy, `correlate` runs without numpy, and every child process is started by
 the one runner in `_proc.py`."""
 
 import ast
+import json
+import os
 import shlex
 import subprocess
 import sys
@@ -79,6 +81,78 @@ def test_lean_commands_load_no_dataclasses(lean_commands, command):
     proc, names = imported_modules("-m", "divsat", *lean_commands[command])
     assert proc.stdout
     assert "dataclasses" not in names
+
+
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Runs ``call`` with handler HANDLER replaced by one that prints what it
+# finds on entry: whether numpy is loaded, the process's threads, and the
+# BLAS thread variables.
+HANDLER_PROBE = """
+import json, os, sys
+from divsat import cli
+
+def probe(args):
+    print(json.dumps({{"numpy": "numpy" in sys.modules,
+                      "threads": len(os.listdir("/proc/self/task")),
+                      "env": {{name: os.environ.get(name) for name in {names!r}}}}}))
+
+cli.{handler} = probe
+sys.argv = ["divsat", *{argv!r}]
+{call}
+"""
+
+# each subcommand: (its handler, a command line the parser accepts)
+HANDLED = {
+    "diversity": ("cmd_diversity", ["diversity", "a.jsonl"]),
+    "impact": ("cmd_impact", ["impact", "a.jsonl", "b.jsonl"]),
+    "mmd": ("cmd_mmd", ["mmd", "a.jsonl", "b.jsonl"]),
+    "saturate": ("cmd_saturate", ["saturate", "--init-count", "2", "--provider", "p",
+                                  "--embedder", "e", "--out", "o.jsonl"]),
+    "synth": ("cmd_synth", ["synth", "--k", "2", "--n", "3", "--out", "o.jsonl"]),
+    "embedder": ("cmd_synth_provider", ["synth-provider", "--role", "embedder", "--k", "2"]),
+    "provider": ("cmd_synth_provider", ["synth-provider", "--role", "provider", "--k", "2",
+                                        "--count", "1"]),
+    "filter run": ("cmd_filter_run", ["filter", "run", "--activity", "w", "--captions",
+                                      "c.jsonl", "--judge", "j", "--out", "o.jsonl"]),
+    "filter eval": ("cmd_filter_eval", ["filter", "eval", "--verdicts", "v.jsonl",
+                                        "--truth", "t.jsonl"]),
+    "correlate": ("cmd_correlate", ["correlate", "--text", "t", "--motion", "m", "--f1", "f"]),
+}
+NUMPY_COMMANDS = {"diversity", "impact", "mmd", "saturate", "synth", "embedder"}
+
+
+def probe_handler(command, threads, call="cli.main()"):
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc to count a process's threads")
+    handler, argv = HANDLED[command]
+    env = _child_env()
+    for name in BLAS_THREADS:
+        env.pop(name, None)
+        if threads is not None:
+            env[name] = threads
+    script = HANDLER_PROBE.format(names=BLAS_THREADS, handler=handler, argv=argv, call=call)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("threads", ["3", None])
+@pytest.mark.parametrize("command", HANDLED)
+def test_cli_loads_numpy_on_one_blas_thread(command, threads):
+    # numpy's BLAS starts no second thread, and the handler finds the caller's
+    # settings, set or unset; the other subcommands still start without numpy
+    probe = probe_handler(command, threads)
+    assert probe["numpy"] is (command in NUMPY_COMMANDS)
+    assert probe["threads"] == 1
+    assert probe["env"] == dict.fromkeys(BLAS_THREADS, threads)
+
+
+def test_dispatch_leaves_numpy_to_the_calling_program():
+    probe = probe_handler("diversity", "3", call="sys.exit(cli.dispatch(sys.argv[1:]))")
+    assert probe["numpy"] is False
+    assert probe["env"] == dict.fromkeys(BLAS_THREADS, "3")
 
 
 def test_embedder_loads_numpy_random_before_its_batch_arrives():

@@ -1,5 +1,6 @@
 import math
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,13 @@ class TestKernel:
     def test_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             gaussian_kernel(np.array([1.0]), np.array([1.0, 2.0]), 1.0)
+
+    def test_difference_past_float_range_scores_zero_without_a_warning(self):
+        # the MMD engine scores such a pair 0 too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gaussian_kernel([1e308], [-1e308], 1.0) == 0.0
+            assert gaussian_kernel([0.0, 1e308], [0.0, -1e308], 1.0) == 0.0
 
     def test_range(self):
         rng = np.random.default_rng(3)
